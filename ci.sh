@@ -37,6 +37,20 @@ echo "== differential: checkpoint/restore + corruption (release) =="
 # perturb a single bit of a snapshot or a resumed run.
 cargo test --release -q -p librisk --test checkpoint
 
+echo "== differential: engine + decision proptests (release) =="
+# The engine invariants (heap vs scan, share index and share totals vs
+# direct sums, same-instant batches vs the reference advance) and the
+# cached-vs-reference decision proptests re-run in release mode too.
+cargo test --release -q -p cluster --test proptest_engine
+cargo test --release -q -p librisk --test proptest_decisions
+
+echo "== e2ebench: build (release) + tests =="
+# The end-to-end benchmark is its own cargo package outside the
+# workspace, so the tier-1 build above never compiles it: build and test
+# it here so a library API change cannot strand it.
+cargo build --release --offline -q --manifest-path e2ebench/Cargo.toml
+cargo test --offline -q --manifest-path e2ebench/Cargo.toml
+
 echo "== lint: rustfmt =="
 cargo fmt --check
 

@@ -962,8 +962,8 @@ fn main() {
 
     // Equivalence-classifier probe: the headline workload re-driven with
     // the pre-kernel classifier off and on, each decision preceded by a
-    // tiny epoch-moving advance so whole-decision memos can never answer
-    // and the per-decision evaluation volume is real. The interesting
+    // tiny epoch-moving advance so every occupied node's cache goes
+    // stale and the per-decision evaluation volume is real. The interesting
     // numbers are distinct profiles projected per decision (the classifier
     // collapses equal-signature nodes to one kernel run) and the fraction
     // of node evaluations settled without the kernel at all.
@@ -984,7 +984,7 @@ fn main() {
             let mut counted = 0u64;
             for i in 0..eq_decisions {
                 // Nudge the clock well inside the next event gap: the
-                // global epoch moves (memos miss) but residency never
+                // global epoch moves (caches go stale) but residency never
                 // changes, so every arm sees the identical load shape.
                 let now = engine.now();
                 let gap = engine
@@ -1000,7 +1000,6 @@ fn main() {
                     agg.class_hits += s.class_hits;
                     agg.pairing_hits += s.pairing_hits;
                     agg.kernel_bails += s.kernel_bails;
-                    agg.memo_hits += s.memo_hits;
                     agg.distinct_classes += s.distinct_classes;
                     counted += 1;
                 }
@@ -1024,7 +1023,7 @@ fn main() {
                  \"classes_per_decision\": {:.2}, \
                  \"avoided_ratio\": {avoided_ratio:.3}, \
                  \"screen_hits\": {}, \"class_hits\": {}, \"pairing_hits\": {}, \
-                 \"memo_hits\": {}, \"kernel_bails\": {} }}",
+                 \"kernel_bails\": {} }}",
                 if classifier { "on" } else { "off" },
                 agg.nodes_considered,
                 agg.projections_run,
@@ -1033,7 +1032,6 @@ fn main() {
                 agg.screen_hits,
                 agg.class_hits,
                 agg.pairing_hits,
-                agg.memo_hits,
                 agg.kernel_bails,
             )
         })

@@ -259,10 +259,6 @@ pub struct ProportionalCluster {
     /// Per-slot Eq. 1 share computed by recompute pass 1 and consumed by
     /// pass 2 (engine-owned scratch; garbage between recomputes).
     share_scratch: Vec<f64>,
-    /// Per-slot event-gap candidate computed by pass 2's dense sweep and
-    /// consumed by its ordered min-fold (engine-owned scratch; free-list
-    /// lanes hold garbage — possibly NaN — that the fold never reads).
-    dt_scratch: Vec<f64>,
     /// Cold state; `None` marks a free slot.
     meta: Vec<Option<ResidentMeta>>,
     /// Live slots sorted by ascending `JobId` — the canonical iteration
@@ -303,8 +299,7 @@ pub struct ProportionalCluster {
     node_min_dl: Vec<f64>,
     /// Occupancy bitmask over nodes (bit = node hosts ≥1 resident),
     /// maintained by admit/unlink; serves O(1) occupancy tests for
-    /// [`ProportionalCluster::node_epoch`]'s time component and the
-    /// occupancy-guarded share-total reads.
+    /// [`ProportionalCluster::node_epoch`]'s time component.
     occ_mask: Vec<u64>,
     /// Bumped whenever *any* node epoch is bumped — an O(1) "did anything
     /// change since I last looked" check for cluster-wide caches like the
@@ -321,13 +316,13 @@ pub struct ProportionalCluster {
     /// makes same-instant event batches cost one recompute, not one each.
     rates_clean: bool,
     /// `true` while `share_scratch`/`totals_scratch` hold the values the
-    /// last *fast-path* recompute produced (valid per the lazy-zeroing
-    /// contract). [`ProportionalCluster::recompute_rates_reference`]
-    /// computes its totals into a local buffer — it produces bitwise the
-    /// same rates but leaves the engine scratch stale, so incremental
-    /// paths that extend the scratch (`admit`'s pass-1 shortcut, the
-    /// occupancy-guarded share-total read) must check this flag, not just
-    /// `rates_clean`, and fall back to a full recompute when it is down.
+    /// last *fast-path* recompute produced.
+    /// [`ProportionalCluster::recompute_rates_reference`] computes its
+    /// totals into a local buffer — it produces bitwise the same rates but
+    /// leaves the engine scratch stale, so incremental paths that extend
+    /// or read the scratch (`admit`'s pass-1 shortcut, the share-total
+    /// read) must check this flag, not just `rates_clean`, and fall back
+    /// to a full recompute when it is down.
     scratch_valid: bool,
     /// Reusable worklist for completions discovered by the progress pass.
     completed_scratch: Vec<u32>,
@@ -395,7 +390,6 @@ impl ProportionalCluster {
             gang_start: Vec::new(),
             gang_nodes: Vec::new(),
             share_scratch: Vec::new(),
-            dt_scratch: Vec::new(),
             meta: Vec::new(),
             order: Vec::new(),
             free_slots: Vec::new(),
@@ -504,7 +498,6 @@ impl ProportionalCluster {
         self.node0.push(0);
         self.gang_start.push(0);
         self.share_scratch.push(0.0);
-        self.dt_scratch.push(0.0);
         self.meta.push(None);
         s
     }
@@ -559,13 +552,6 @@ impl ProportionalCluster {
             assert!(self.node_is_up(*n), "cannot admit {} onto down {n}", job.id);
             let ni = n.0 as usize;
             let list = &mut self.node_jobs[ni];
-            if list.is_empty() {
-                // Unoccupied lanes hold stale totals (the recompute only
-                // zeroes occupied nodes); the incremental pass-1 below
-                // accumulates into this lane, so restore its zero on the
-                // empty→occupied transition.
-                self.totals_scratch[ni] = 0.0;
-            }
             slots.push(list.len() as u32);
             list.push(s);
             self.gang_nodes.push(n.0);
@@ -672,40 +658,7 @@ impl ProportionalCluster {
             // changed), so `fused` drops and the tail of the sweep skips
             // share work; the full recompute below then rebuilds totals
             // from zero exactly as before.
-            // Dense pre-pass (arena densely populated only): apply
-            // progress to every arena slot and compute each survivor's
-            // candidate post-progress share. Free-list lanes advance
-            // stale beliefs into garbage nothing reads (the bookkeeping
-            // fold below walks `order`; a reused slot is fully
-            // re-initialised by `admit`); live lanes see bitwise the
-            // subtraction and quotient the ordered loop computes inline
-            // in the sparse case — same operands, same expressions —
-            // while the branch-free sweeps pipeline the divisions. A
-            // slot this advance completes or re-arms gets a garbage
-            // share too, but those poison `fused` and force the full
-            // recompute anyway.
-            let n_slots = self.ids.len();
-            let dense = self.dense_sweeps_pay();
-            if dense {
-                {
-                    let rates = &self.rate[..n_slots];
-                    let rw = &mut self.remaining_work[..n_slots];
-                    let re = &mut self.remaining_est[..n_slots];
-                    for i in 0..n_slots {
-                        let p = rates[i] * dt;
-                        rw[i] -= p;
-                        re[i] -= p;
-                    }
-                }
-                let dls = &self.abs_deadline[..n_slots];
-                let re = &self.remaining_est[..n_slots];
-                let shares = &mut self.share_scratch[..n_slots];
-                for i in 0..n_slots {
-                    let rd = (dls[i] - now_s).max(EPS_DEADLINE);
-                    shares[i] = re[i].max(EPS_WORK) / rd;
-                }
-            }
-            self.zero_touched_totals();
+            self.totals_scratch.fill(0.0);
             let mut fused = true;
             for &s in &self.order {
                 let si = s as usize;
@@ -719,10 +672,8 @@ impl ProportionalCluster {
                         self.node_busy[ni as usize] += progress;
                     }
                 }
-                if !dense {
-                    self.remaining_work[si] -= progress;
-                    self.remaining_est[si] -= progress;
-                }
+                self.remaining_work[si] -= progress;
+                self.remaining_est[si] -= progress;
                 if self.remaining_work[si] <= EPS_WORK {
                     completed.push(s);
                     fused = false;
@@ -745,15 +696,9 @@ impl ProportionalCluster {
                     }
                     fused = false;
                 } else if fused {
-                    let share = if dense {
-                        // Already computed by the dense pre-pass.
-                        self.share_scratch[si]
-                    } else {
-                        let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
-                        let share = self.remaining_est[si].max(EPS_WORK) / rd;
-                        self.share_scratch[si] = share;
-                        share
-                    };
+                    let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
+                    let share = self.remaining_est[si].max(EPS_WORK) / rd;
+                    self.share_scratch[si] = share;
                     if self.width[si] == 1 {
                         self.totals_scratch[self.node0[si] as usize] += share;
                     } else {
@@ -1112,17 +1057,8 @@ impl ProportionalCluster {
     /// fine for margin-bearing consumers like the zero-risk screen, not
     /// for bitwise-pinned ones.
     pub fn node_share_total_now(&self, node: NodeId) -> f64 {
-        let ni = node.0 as usize;
         if self.rates_clean && self.scratch_valid {
-            // The recompute zeroes and refills only occupied nodes'
-            // lanes (see [`ProportionalCluster::zero_touched_totals`]);
-            // an unoccupied node's lane may hold a stale total, but its
-            // true share total is identically zero.
-            if self.occ_mask[ni / 64] >> (ni % 64) & 1 == 1 {
-                self.totals_scratch[ni]
-            } else {
-                0.0
-            }
+            self.totals_scratch[node.0 as usize]
         } else {
             self.node_total_share(node, None)
         }
@@ -1356,72 +1292,16 @@ impl ProportionalCluster {
     /// accumulation happens in the reference implementation's order and
     /// the results are bitwise identical to
     /// [`ProportionalCluster::recompute_rates_reference`].
-    /// Whether the arena is populated densely enough that branch-free
-    /// full-arena sweeps (which also burn garbage work on free-list
-    /// lanes) beat gather loops over `order`. Either path computes
-    /// bitwise-identical values for every live lane, so the cutover is
-    /// pure scheduling — it cannot move a decision.
-    #[inline]
-    fn dense_sweeps_pay(&self) -> bool {
-        self.order.len() * 3 >= self.ids.len()
-    }
-
-    /// Zeroes exactly the per-node total lanes the recompute's ordered
-    /// accumulation will touch. A full `fill(0.0)` dirties 8·nodes bytes
-    /// of cache on every advance however few nodes are occupied; lanes
-    /// of unoccupied nodes can instead stay stale because every reader
-    /// is occupancy-guarded (`node_share_total_now`) or walks `order`.
-    /// Falls back to the contiguous fill when most nodes are in play.
-    #[inline]
-    fn zero_touched_totals(&mut self) {
-        if self.order.len() * 2 >= self.cluster.len() {
-            self.totals_scratch.fill(0.0);
-            return;
-        }
-        for &s in &self.order {
-            let si = s as usize;
-            if self.width[si] == 1 {
-                self.totals_scratch[self.node0[si] as usize] = 0.0;
-            } else {
-                let start = self.gang_start[si] as usize;
-                for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                    self.totals_scratch[ni as usize] = 0.0;
-                }
-            }
-        }
-    }
-
     fn recompute_rates(&mut self) {
         let now = self.last_update.as_secs();
-        // Pass 1: every live slot's Eq. 1 share from current beliefs.
-        // When the arena is densely populated, a branch- and
-        // indirection-free sweep over every lane (free-list lanes divide
-        // stale beliefs into garbage nothing reads — all folds below
-        // walk `order`) lets the divisions pipeline and vectorize; live
-        // lanes get bitwise the quotient the ordered loop produces —
-        // same operands, same expression.
-        let n_slots = self.ids.len();
-        if self.dense_sweeps_pay() {
-            let dls = &self.abs_deadline[..n_slots];
-            let rems = &self.remaining_est[..n_slots];
-            let shares = &mut self.share_scratch[..n_slots];
-            for i in 0..n_slots {
-                let rd = (dls[i] - now).max(EPS_DEADLINE);
-                shares[i] = rems[i].max(EPS_WORK) / rd;
-            }
-        } else {
-            for &s in &self.order {
-                let si = s as usize;
-                let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
-                self.share_scratch[si] = self.remaining_est[si].max(EPS_WORK) / rd;
-            }
-        }
-        // Per-node totals accumulate in the reference's ascending job-id
-        // order (float sums are fold-order-sensitive).
-        self.zero_touched_totals();
+        // Pass 1: every live slot's Eq. 1 share from current beliefs,
+        // summed into the per-node totals of its gang.
+        self.totals_scratch.fill(0.0);
         for &s in &self.order {
             let si = s as usize;
-            let share = self.share_scratch[si];
+            let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
+            let share = self.remaining_est[si].max(EPS_WORK) / rd;
+            self.share_scratch[si] = share;
             if self.width[si] == 1 {
                 self.totals_scratch[self.node0[si] as usize] += share;
             } else {
@@ -1444,86 +1324,16 @@ impl ProportionalCluster {
     fn recompute_pass2(&mut self) {
         let now = self.last_update.as_secs();
         let strict = matches!(self.cfg.discipline, ShareDiscipline::Strict);
-        let n_slots = self.ids.len();
-        let dense = self.dense_sweeps_pay();
-        if dense {
-            // Dense rate sweep over every arena slot via its first member
-            // node: exact for width-1 slots (same expression, same bits
-            // as the ordered fold's inline computation); a gang's true
-            // rate is the member-min, fixed up in the ordered fold below.
-            // Free-list lanes compute garbage (possibly ±inf) that only
-            // the dense event-gap sweep reads — and the ordered fold
-            // discards those lanes.
-            {
-                let shares = &self.share_scratch[..n_slots];
-                let node0 = &self.node0[..n_slots];
-                let rates = &mut self.rate[..n_slots];
-                if strict {
-                    for i in 0..n_slots {
-                        let ni = node0[i] as usize;
-                        rates[i] = shares[i] / self.totals_scratch[ni].max(1.0) * self.speeds[ni];
-                    }
-                } else {
-                    for i in 0..n_slots {
-                        let ni = node0[i] as usize;
-                        rates[i] = shares[i] / self.totals_scratch[ni] * self.speeds[ni];
-                    }
-                }
-            }
-            // Dense event-gap sweep: branch-free rewrite of [`event_dt`],
-            // bitwise equal on live width-1 lanes (the selects reproduce
-            // the reference's guards; `min` of the positive quotient with
-            // +inf is the quotient). Gang lanes hold a garbage gap (their
-            // dense rate is one member's, not the min) and are recomputed
-            // in the fold.
-            let rates = &self.rate[..n_slots];
-            let rw = &self.remaining_work[..n_slots];
-            let re = &self.remaining_est[..n_slots];
-            let dls = &self.abs_deadline[..n_slots];
-            let dts = &mut self.dt_scratch[..n_slots];
-            for i in 0..n_slots {
-                let r = rates[i];
-                let q = rw[i].min(re[i]) / r;
-                let dt0 = if r > 0.0 { q } else { f64::INFINITY };
-                let td = dls[i] - now;
-                let dtd = if td > EPS_WORK { td } else { f64::INFINITY };
-                dts[i] = dt0.min(dtd);
-            }
-        }
         let mut min_dt = f64::INFINITY;
         for &s in &self.order {
             let si = s as usize;
-            if self.width[si] == 1 {
-                let rate = if dense {
-                    self.rate[si]
-                } else {
-                    let ni = self.node0[si] as usize;
-                    let total = self.totals_scratch[ni];
-                    let denom = if strict { total.max(1.0) } else { total };
-                    let r = self.share_scratch[si] / denom * self.speeds[ni];
-                    self.rate[si] = r;
-                    r
-                };
-                // The share (and hence the rate) can underflow to exactly
-                // zero when a co-resident share is astronomically
-                // inflated; `event_dt` and the projection kernel
-                // tolerate that.
-                debug_assert!(rate.is_finite() && rate >= 0.0);
-                min_dt = min_dt.min(if dense {
-                    self.dt_scratch[si]
-                } else {
-                    event_dt(
-                        rate,
-                        self.remaining_work[si],
-                        self.remaining_est[si],
-                        self.abs_deadline[si],
-                        now,
-                    )
-                });
-                continue;
-            }
             let share = self.share_scratch[si];
-            let rate = {
+            let rate = if self.width[si] == 1 {
+                let ni = self.node0[si] as usize;
+                let total = self.totals_scratch[ni];
+                let denom = if strict { total.max(1.0) } else { total };
+                share / denom * self.speeds[ni]
+            } else {
                 let start = self.gang_start[si] as usize;
                 let mut rate = f64::INFINITY;
                 // Gang members frequently land on nodes with identical

@@ -273,6 +273,92 @@ proptest! {
     }
 
     #[test]
+    fn share_total_now_tracks_node_total_share_through_churn(
+        ops in proptest::collection::vec((0u8..10, 0.0..1.5f64, raw_job()), 1..40),
+        disc in discipline(),
+    ) {
+        // The dominance screen decides on `node_share_total_now`, which
+        // reads the rate recompute's per-node totals. Over arbitrary
+        // admits, advances, failures and restores it must match
+        // `node_total_share(n, None)` (a different summation order, so
+        // within 1e-12 relative) on every occupied up node, and read
+        // exactly 0.0 on every unoccupied node — including lanes that
+        // emptied and lanes that a failure cleared.
+        let nodes = 8usize;
+        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let mut engine = ProportionalCluster::new(Cluster::homogeneous(nodes, 168.0), cfg);
+        let check = |e: &ProportionalCluster, ctx: &str| {
+            for n in 0..nodes as u32 {
+                let node = NodeId(n);
+                let now = e.node_share_total_now(node);
+                if e.resident_count(node) == 0 {
+                    assert_eq!(now.to_bits(), 0.0f64.to_bits(), "unoccupied {node} reads {now} {ctx}");
+                } else if e.node_is_up(node) {
+                    let direct = e.node_total_share(node, None);
+                    assert!(
+                        (now - direct).abs() <= 1e-12 * direct.abs(),
+                        "{node}: share_total_now {now} vs node_total_share {direct} {ctx}"
+                    );
+                }
+            }
+        };
+        check(&engine, "on an idle engine");
+        for (id, (kind, frac, r)) in ops.iter().enumerate() {
+            let now = engine.now();
+            match kind {
+                0..=4 => {
+                    let up: Vec<NodeId> = (0..nodes as u32)
+                        .map(NodeId)
+                        .filter(|&n| engine.node_is_up(n))
+                        .collect();
+                    if up.len() < r.procs as usize {
+                        continue;
+                    }
+                    let start = (frac * up.len() as f64) as usize;
+                    let alloc: Vec<NodeId> = (0..r.procs as usize)
+                        .map(|i| up[(start + i) % up.len()])
+                        .collect();
+                    let mut j = job(id as u64, r.runtime, r.runtime * r.est_factor, r.procs, r.deadline);
+                    j.submit = now;
+                    engine.admit(j, alloc, now);
+                    check(&engine, "after admit");
+                }
+                5..=7 => {
+                    // Idle engines advance by an arbitrary step too: time
+                    // moves over empty lanes without a recompute.
+                    let dt = match engine.next_event_time() {
+                        Some(next) => (next - now).as_secs() * frac.min(1.0),
+                        None => 100.0 * frac,
+                    };
+                    engine.advance(now + SimDuration::from_secs(dt));
+                    check(&engine, "after advance");
+                }
+                8 => {
+                    let node = NodeId((frac * nodes as f64) as u32 % nodes as u32);
+                    if engine.node_is_up(node) {
+                        engine.fail_node(node, now);
+                        check(&engine, "after fail_node");
+                    }
+                }
+                _ => {
+                    let node = NodeId((frac * nodes as f64) as u32 % nodes as u32);
+                    if !engine.node_is_up(node) {
+                        engine.restore_node(node, now);
+                        check(&engine, "after restore_node");
+                    }
+                }
+            }
+        }
+        let mut guard = 0;
+        while let Some(t) = engine.next_event_time() {
+            engine.advance(t);
+            check(&engine, "while draining");
+            guard += 1;
+            prop_assert!(guard < 200_000, "engine failed to converge");
+        }
+    }
+
+    #[test]
     fn space_shared_never_overcommits(
         widths in proptest::collection::vec(1u32..5, 1..20),
     ) {

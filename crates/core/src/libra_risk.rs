@@ -21,19 +21,14 @@
 //!    delays and is avoided, where Libra would happily keep loading it.
 
 use crate::policy::{DecisionStats, ShareAdmission};
-use crate::risk_cache::{class_key, CandidateMemo, ClassTable};
+use crate::risk_cache::{class_key, ClassTable};
 use cluster::projection::{
     canonical_class_keys, canonicalize_projection, first_segment_shares, is_zero_risk, node_risk,
     node_risk_single_segment, screens_zero_risk, ProjectedJob, ProjectionWorkspace, RiskSummary,
 };
 use cluster::proportional::{projected_job, ProportionalCluster};
 use cluster::NodeId;
-use std::collections::HashMap;
 use workload::Job;
-
-/// Cap on the per-epoch whole-decision replay memo (distinct candidate
-/// signatures between engine changes).
-const DECISION_MEMO_MAX: usize = 8192;
 
 /// How suitable (zero-risk) nodes are ordered before taking the first
 /// `numproc` of them.
@@ -54,10 +49,9 @@ pub enum NodeOrdering {
 pub const MU_EPSILON: f64 = 1e-9;
 
 /// Per-node incremental risk state, valid for one engine epoch: the
-/// node's scheduler-visible projection input, its resident-only risk
+/// node's scheduler-visible projection input and its resident-only risk
 /// contribution (computed lazily, on the first [`LibraRisk::cluster_risk`]
-/// query at this epoch), and an exact-result memo of candidate
-/// evaluations against this frozen resident state.
+/// query at this epoch).
 #[derive(Clone, Debug, Default)]
 struct NodeRiskCache {
     epoch: Option<(u64, u64)>,
@@ -83,10 +77,6 @@ struct NodeRiskCache {
     /// Resident-only [`RiskSummary`] — the node's cluster-risk
     /// contribution. `None` until queried at the current epoch.
     base: Option<RiskSummary>,
-    /// Candidate signature → exact kernel output for "residents +
-    /// candidate" at this epoch. Hits replay bit-identical results; a
-    /// hit can therefore never flip a decision.
-    memo: CandidateMemo,
     /// The node's resident arena slots in canonical `(deadline,
     /// remaining)` order — `jobs` is emitted by walking this permutation.
     /// Valid per *membership* epoch (slot identity survives plain
@@ -177,23 +167,13 @@ pub struct LibraRisk {
     cache: Vec<NodeRiskCache>,
     ws: ProjectionWorkspace,
     zero_risk: Vec<NodeId>,
-    /// Whole-decision replay memo: candidate signature → the decision
-    /// computed earlier at the same engine state. The candidate reaches
-    /// the evaluation only through [`projected_job`] (remaining estimate
-    /// and absolute deadline) and its `procs` count, so within one
-    /// `decision_stamp` the decision is a pure function of this key and a
-    /// hit replays the identical node list.
-    decision_memo: HashMap<(u64, u64, u32), Option<Vec<NodeId>>>,
-    /// Engine state the memo is valid for: `(global_epoch, now)`. The
-    /// global epoch pins every occupied node and the aggregate ranking
-    /// inputs; `now` additionally covers advances over an empty cluster,
-    /// which move time without bumping any epoch.
-    decision_stamp: Option<(u64, u64)>,
     /// Audit-gauge memo: the last [`LibraRisk::cluster_risk_mean_dd`]
-    /// answer, keyed on the same `(global_epoch, now)` stamp shape as
-    /// `decision_stamp`. A rejected decision leaves the engine
-    /// untouched, so the post-decision audit replays this value in O(1)
-    /// instead of re-walking the cluster.
+    /// answer, keyed on the engine's `(global_epoch, now)` stamp. The
+    /// global epoch pins every occupied node; `now` additionally covers
+    /// advances over an empty cluster, which move time without bumping
+    /// any epoch. A rejected decision leaves the engine untouched, so
+    /// the post-decision audit replays this value in O(1) instead of
+    /// re-walking the cluster.
     gauge_stamp: Option<(u64, u64)>,
     gauge_memo: f64,
     /// Per-decision equivalence-class table: one entry per *distinct*
@@ -250,8 +230,6 @@ impl LibraRisk {
             cache: Vec::new(),
             ws: ProjectionWorkspace::new(),
             zero_risk: Vec::new(),
-            decision_memo: HashMap::new(),
-            decision_stamp: None,
             gauge_stamp: None,
             gauge_memo: 0.0,
             classes: ClassTable::new(),
@@ -368,7 +346,7 @@ impl LibraRisk {
     /// Measurement knob for the kernel-volume experiment: with the
     /// classifier off, the pre-kernel zero-risk screen and
     /// class-result reuse are disabled — every evaluated node runs its
-    /// own projection (modulo the exact candidate memo) — while class
+    /// own projection — while class
     /// signatures are still computed and counted, so
     /// [`DecisionStats::distinct_classes`] measures the same quantity in
     /// both arms. Decisions are identical either way; only the work to
@@ -389,8 +367,7 @@ impl LibraRisk {
     /// mismatch the resident projection input is rebuilt — along with the
     /// canonical class signature, the kernel's first-segment share prefix
     /// and the earliest resident deadline, all derived in the same pass —
-    /// and everything keyed to the old state (base contribution,
-    /// candidate memo) is dropped.
+    /// and the base contribution keyed to the old state is dropped.
     ///
     /// Caching the share prefix against the epoch is sound because an
     /// *occupied* node's epoch pins `(residents, now)` — any `dt > 0`
@@ -431,9 +408,6 @@ impl LibraRisk {
             c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
             c.epoch = Some(epoch);
             c.base = None;
-            if !c.memo.is_empty() {
-                c.memo.clear();
-            }
         }
     }
 
@@ -630,9 +604,9 @@ impl ShareAdmission for LibraRisk {
     }
 
     fn decide(&mut self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
-        // Decisions that return before the node loop (width screen,
-        // whole-decision replay) evaluated nothing — report zeros rather
-        // than a stale prior decision's counters.
+        // A decision that returns before the node loop (width screen)
+        // evaluated nothing — report zeros rather than a stale prior
+        // decision's counters.
         self.stats = DecisionStats::default();
         let want = job.procs as usize;
         if want > engine.up_nodes() {
@@ -644,42 +618,15 @@ impl ShareAdmission for LibraRisk {
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
         let tentative = projected_job(job);
-        // Replay memo: if this exact candidate shape was already decided
-        // at this exact engine state, hand back the identical answer
-        // without touching a single node. When the stamp is *fresh* (at
-        // least one dt>0 advance or churn event happened since the last
-        // decision), every occupied node's epoch was bumped by that very
-        // event, so all per-node candidate memos are guaranteed misses:
-        // `memo_live` gates those lookups (and the inserts nothing at
-        // this stamp has read yet) off the hot path. A second decision at
-        // the same stamp re-enables them and warms the memos itself.
-        let stamp = (engine.global_epoch(), now.to_bits());
-        let memo_live = self.decision_stamp == Some(stamp);
-        if !memo_live {
-            self.decision_stamp = Some(stamp);
-            self.decision_memo.clear();
-        }
-        let decision_key = (
-            tentative.remaining_est.to_bits(),
-            tentative.abs_deadline.to_bits(),
-            job.procs,
-        );
-        if memo_live {
-            if let Some(d) = self.decision_memo.get(&decision_key) {
-                obs::phase::add(obs::phase::Counter::ReplayMemoHits, 1);
-                return d.clone();
-            }
-        }
         // Algorithm 1, lines 1–11: evaluate σ_j per node with the new job
         // tentatively added — proving most verdicts *without* running the
         // projection kernel. Per node, cheapest sufficient evidence wins:
         // the zero-risk screen settles nodes with provable headroom in a
         // handful of flops; the equivalence-class table replays the
         // verdict of any node whose resident multiset and speed were
-        // already evaluated this decision; the exact candidate memo
-        // replays prior kernel outputs at this epoch; and only what
-        // survives all three runs the kernel (warm-started from the
-        // cached first-segment share prefix).
+        // already evaluated this decision (or, through pairing, in an
+        // earlier one); and only what survives both runs the kernel
+        // (warm-started from the cached first-segment share prefix).
         self.zero_risk.clear();
         self.classes.clear();
         let mut stats = DecisionStats::default();
@@ -802,19 +749,17 @@ impl ShareAdmission for LibraRisk {
                     None => {
                         let _kernel =
                             fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
+                        stats.projections_run += 1;
+                        let c = &self.cache[idx];
                         let (mu, sigma) = if self.naive_projection {
-                            stats.projections_run += 1;
-                            let c = &self.cache[idx];
                             let stage = self.ws.stage();
                             stage.extend_from_slice(&c.jobs);
                             stage.push(tentative);
                             node_risk_single_segment(self.ws.staged(), now, speed, discipline)
-                        } else if self.cache[idx].jobs.is_empty() {
-                            // An empty node's projection depends on `now`,
-                            // which its (never-bumped) epoch does not track
-                            // — compute directly, never memoise per-node.
-                            stats.projections_run += 1;
-                            let c = &self.cache[idx];
+                        } else if c.jobs.is_empty() {
+                            // An empty node reaches the kernel only under
+                            // the strict variant, which reads μ_j: it runs
+                            // the full projection, not the verdict kernel.
                             let s = self.ws.node_risk_delta_prefixed(
                                 &c.jobs,
                                 &c.first_shares,
@@ -825,51 +770,7 @@ impl ShareAdmission for LibraRisk {
                                 discipline,
                             );
                             (s.mu, s.sigma)
-                        } else if memo_live {
-                            // Occupied node: its epoch pins (residents,
-                            // now), so the evaluation is a pure function of
-                            // the candidate signature. A memo hit replays
-                            // the exact kernel output computed earlier at
-                            // this epoch.
-                            let key = (
-                                tentative.remaining_est.to_bits(),
-                                tentative.abs_deadline.to_bits(),
-                            );
-                            let s = match self.cache[idx].memo.get(key) {
-                                Some(s) => {
-                                    stats.memo_hits += 1;
-                                    s
-                                }
-                                None => {
-                                    stats.projections_run += 1;
-                                    let c = &self.cache[idx];
-                                    // Verdict kernel: an early σ
-                                    // certification memoises (and
-                                    // replays) the same unsuitable
-                                    // verdict the full run would.
-                                    let s = self
-                                        .ws
-                                        .node_risk_verdict_prefixed(
-                                            &c.jobs,
-                                            &c.first_shares,
-                                            c.share_sum,
-                                            tentative,
-                                            now,
-                                            speed,
-                                            discipline,
-                                        )
-                                        .unwrap_or_else(|| {
-                                            stats.kernel_bails += 1;
-                                            RiskSummary::PROVABLY_RISKY
-                                        });
-                                    self.cache[idx].memo.insert(key, s);
-                                    s
-                                }
-                            };
-                            (s.mu, s.sigma)
                         } else {
-                            stats.projections_run += 1;
-                            let c = &self.cache[idx];
                             let s = self
                                 .ws
                                 .node_risk_verdict_prefixed(
@@ -930,28 +831,18 @@ impl ShareAdmission for LibraRisk {
             obs::phase::add(C::PairingHits, stats.pairing_hits);
             obs::phase::add(C::EquivClassHits, stats.class_hits);
             obs::phase::add(C::EquivClassMisses, stats.projections_run);
-            obs::phase::add(C::CandidateMemoHits, stats.memo_hits);
             obs::phase::add(C::KernelBails, stats.kernel_bails);
             obs::phase::add(C::ProjectionsRun, stats.projections_run);
         }
         // Lines 12–18: accept iff enough suitable nodes exist.
-        let decision = if self.zero_risk.len() < want {
-            None
-        } else {
-            let mut ranked = std::mem::take(&mut self.zero_risk);
-            self.order_nodes(&mut ranked, engine);
-            let out: Vec<NodeId> = ranked.iter().take(want).copied().collect();
-            self.zero_risk = ranked; // hand the warm buffer back for reuse
-            Some(out)
-        };
-        // The whole-decision memo only pays off when a later decision
-        // arrives at the same stamp; the first decision at a fresh stamp
-        // skips the insert (and its clone) — a same-stamp successor
-        // recomputes once and warms the memo itself.
-        if memo_live && self.decision_memo.len() < DECISION_MEMO_MAX {
-            self.decision_memo.insert(decision_key, decision.clone());
+        if self.zero_risk.len() < want {
+            return None;
         }
-        decision
+        let mut ranked = std::mem::take(&mut self.zero_risk);
+        self.order_nodes(&mut ranked, engine);
+        let out: Vec<NodeId> = ranked.iter().take(want).copied().collect();
+        self.zero_risk = ranked; // hand the warm buffer back for reuse
+        Some(out)
     }
 }
 
@@ -1126,26 +1017,20 @@ mod tests {
     }
 
     #[test]
-    fn decision_replay_memo_respects_state_changes() {
+    fn decisions_track_admissions_and_empty_cluster_advances() {
         let mut lr = LibraRisk::paper();
         let mut e = engine(2);
         let j = job(0, 80.0, 1, 100.0);
-        let first = lr.decide(&e, &j);
-        // Same engine state, same candidate shape under a different id:
-        // the replayed decision must equal both the first answer and the
-        // from-scratch reference.
-        let j2 = job(99, 80.0, 1, 100.0);
-        assert_eq!(lr.decide(&e, &j2), first);
-        assert_eq!(lr.decide(&e, &j2), lr.decide_reference(&e, &j2));
-        // An admission bumps the global epoch and must flush the memo.
+        assert_eq!(lr.decide(&e, &j), lr.decide_reference(&e, &j));
+        // An admission changes node 0's residents: the next decision
+        // must see them.
         e.admit(job(1, 90.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
-        assert_eq!(lr.decide(&e, &j2), lr.decide_reference(&e, &j2));
+        assert_eq!(lr.decide(&e, &j), lr.decide_reference(&e, &j));
 
         // Advancing an *empty* cluster moves `now` without bumping any
-        // epoch; the (epoch, now) stamp must still invalidate the memo.
-        // Shape chosen so the strict decision flips: at t=0 the job
-        // finishes by its deadline (μ = 1 → accept), at t=30 it cannot
-        // (μ > 1 → reject) — a stale replay would return the accept.
+        // epoch. Shape chosen so the strict decision flips: at t=0 the
+        // job finishes by its deadline (μ = 1 → accept), at t=30 it
+        // cannot (μ > 1 → reject).
         let mut strict = LibraRisk::paper().require_unit_mu(true);
         let mut e2 = engine(2);
         let ja = job(5, 80.0, 1, 100.0);

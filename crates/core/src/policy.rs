@@ -14,8 +14,8 @@ use workload::{Job, Trace};
 
 /// Evaluation-volume accounting for one admission decision: how many
 /// nodes the candidate scan looked at and how much projection work the
-/// pre-kernel machinery (dominance screen, equivalence classes, memos)
-/// avoided. Costless to maintain — a handful of counter bumps per
+/// pre-kernel machinery (dominance screen, equivalence classes,
+/// pairing) avoided. Costless to maintain — a handful of counter bumps per
 /// decision — so policies keep it unconditionally and the facade samples
 /// it into the metrics registry when a recorder is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct DecisionStats {
     /// Kernel runs (counted in `projections_run`) that ended in an early
     /// σ certification instead of a full timeline simulation.
     pub kernel_bails: u64,
-    /// Nodes resolved from the per-node exact candidate memo.
+    /// Always 0; read by the benchmark.
     pub memo_hits: u64,
     /// Distinct `(load class, speed)` profiles that needed a projection
     /// this decision.

@@ -335,8 +335,8 @@ impl ProportionalBackend<'_> {
         // dispatched event: brings the engine to the present (dt ≥ 0).
         self.advance_engine(now, events);
         // Audit state is gathered *around* `decide`, never inside it:
-        // LibraRisk may answer from its whole-decision replay memo, and a
-        // memo hit must still produce a complete audit record.
+        // a decision settled by the screen or a class replay must still
+        // produce a complete audit record.
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
         // Policy audit gauges (share/risk sweeps) are the one hook with
         // a real price — recorders opt in per `wants_audit_gauges`.
@@ -395,7 +395,7 @@ impl ProportionalBackend<'_> {
             note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
             // Evaluation-volume counters (kernel-volume experiment):
             // how much projection work the decision ran vs avoided via
-            // the dominance screen / equivalence classes / memos.
+            // the dominance screen / equivalence classes / pairing.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);

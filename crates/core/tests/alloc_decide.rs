@@ -1,14 +1,13 @@
 //! Steady-state allocation audit for the *decision* path: once caches
 //! are warm, `decide` must not touch the heap beyond the accepted node
-//! list it hands back — no per-decision worklists, no class-table or
-//! memo growth, no workspace churn. Rejections return `None` and must
+//! list it hands back — no per-decision worklists, no class-table
+//! growth, no workspace churn. Rejections return `None` and must
 //! therefore be exactly zero-allocation; acceptances may allocate only
 //! the returned `Vec<NodeId>` (one allocation). The class-index
 //! maintenance path is deliberately on the measured path: a `dt > 0`
 //! advance between decisions moves every occupied node's epoch pair, so
 //! each measured decision rebuilds signatures, re-hashes classes and
-//! re-runs the verdict kernel instead of replaying a whole-decision
-//! memo. A counting global allocator makes the claim checkable; the
+//! re-runs the verdict kernel. A counting global allocator makes the claim checkable; the
 //! allocator is process-global, so this file holds a single `#[test]`.
 
 use cluster::proportional::{ProportionalCluster, ProportionalConfig};
@@ -57,8 +56,8 @@ fn job(id: u64, runtime: f64, estimate: f64, deadline: f64, submit: SimTime) -> 
 
 /// Advances by a tiny positive step (well under the next event gap, so
 /// residency never changes) purely to move the engine's global epoch:
-/// the next decision lands on a fresh stamp, misses every whole-decision
-/// memo, and exercises the full class rebuild + kernel path.
+/// every occupied node's cache entry goes stale, so the next decision
+/// exercises the full class rebuild + kernel path.
 fn nudge(engine: &mut ProportionalCluster) {
     let now = engine.now();
     let gap = engine
@@ -82,8 +81,8 @@ fn measure<P: ShareAdmission>(
     let mut accepts = 0u64;
     for i in 0..iters {
         nudge(engine);
-        // Vary the estimate so the candidate signature differs every
-        // iteration: no memo can answer, classes are re-proven live.
+        // Vary the estimate so the candidate differs every iteration:
+        // classes are re-proven live.
         let j = job(
             90_000 + i as u64,
             100.0,

@@ -30,3 +30,17 @@ pub mod telemetry_run;
 
 pub use scenario::{EstimateRegime, Scenario, TraceSource};
 pub use sweep::{run_sweep, SweepOutcome};
+
+/// Serialises the unit tests that share the process-global phase
+/// profiler: the runners that toggle it, and the sharded drive whose
+/// worker threads would otherwise flush their own advance timings into
+/// a profiled test's snapshot while it is armed.
+#[cfg(test)]
+pub(crate) fn with_profiler_lock(f: impl FnOnce()) {
+    use std::sync::Mutex;
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _g = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    f();
+}

@@ -256,7 +256,7 @@ mod tests {
 /// of the standard trace at one size, with the equivalence classifier
 /// either off (the "before" arm — every considered node pays a
 /// projection, though signatures are still counted) or on (the shipped
-/// decision path: dominance screen, class replay, pairing, memos).
+/// decision path: dominance screen, class replay, pairing).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelVolumeRow {
     /// Whether the equivalence classifier was enabled for this arm.

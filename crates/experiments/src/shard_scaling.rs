@@ -202,7 +202,8 @@ mod tests {
     #[test]
     fn quick_sweep_holds_identity_and_renders() {
         let cfg = FigureConfig::quick();
-        let rows = shard_scaling(&cfg);
+        let mut rows = Vec::new();
+        crate::with_profiler_lock(|| rows = shard_scaling(&cfg));
         assert_eq!(rows.len(), SHARD_LADDER.len());
         for r in &rows {
             assert!(r.identity_ok());

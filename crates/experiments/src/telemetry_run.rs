@@ -516,16 +516,7 @@ fn event_jsonl(e: &librisk::rms::JobEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Both runners toggle the process-global profiler; serialize them.
-    fn with_profiler_lock(f: impl FnOnce()) {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f();
-    }
+    use crate::with_profiler_lock;
 
     #[test]
     fn quick_profile_covers_the_advance_bracket() {

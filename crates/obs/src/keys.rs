@@ -26,7 +26,7 @@ pub const NODE_UP: &str = "rms_node_up_total";
 /// Projection-kernel executions across all decisions (LibraRisk family).
 pub const PROJECTIONS_RUN_TOTAL: &str = "librarisk_projections_run_total";
 /// Node evaluations settled *without* running the projection kernel —
-/// dominance screen, equivalence-class replay or exact candidate memo.
+/// dominance screen, empty-node fast path or equivalence-class replay.
 pub const PROJECTIONS_AVOIDED_TOTAL: &str = "librarisk_projections_avoided_total";
 /// Distinct `(load class, speed)` profiles that needed a projection,
 /// summed over decisions (divide by [`DECISIONS`] for classes/decision).
