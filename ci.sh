@@ -38,8 +38,8 @@ echo "== differential: checkpoint/restore + corruption (release) =="
 cargo test --release -q -p librisk --test checkpoint
 
 echo "== differential: engine + decision proptests (release) =="
-# The engine invariants (heap vs scan, share index and share totals vs
-# direct sums, same-instant batches vs the reference advance) and the
+# The engine invariants (heap vs scan, share totals vs direct sums,
+# same-instant batches vs the reference advance) and LibraRisk's
 # cached-vs-reference decision proptests re-run in release mode too.
 cargo test --release -q -p cluster --test proptest_engine
 cargo test --release -q -p librisk --test proptest_decisions
@@ -56,6 +56,11 @@ cargo fmt --check
 
 echo "== lint: clippy =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== lint: rustdoc =="
+# Broken or private intra-doc links fail the build, so a doc link to a
+# deleted item cannot dangle.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== lint: clippy (obs, all targets) =="
 # The observability crate is new and zero-dep: hold it to -D warnings

@@ -121,10 +121,10 @@ fn candidate_stream(n: usize) -> Vec<Job> {
         .collect()
 }
 
-/// Steady-state decide loop over a 10k-job candidate stream: the cached
-/// incremental `decide` (epoch-validated per-node caches, warm after the
-/// first call) against the from-scratch `decide_reference` (the
-/// pre-change kernel).
+/// Steady-state decide loop over a 10k-job candidate stream: Libra's
+/// per-node share scan, and LibraRisk's cached incremental `decide`
+/// (epoch-validated per-node caches, warm after the first call) against
+/// its from-scratch `decide_reference`.
 fn steady_state_decide(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/steady_decide");
     group.throughput(Throughput::Elements(1));
@@ -133,20 +133,11 @@ fn steady_state_decide(c: &mut Criterion) {
 
     let mut libra = Libra::new();
     let mut i = 0usize;
-    group.bench_function("libra_cached", |b| {
+    group.bench_function("libra", |b| {
         b.iter(|| {
             let j = &stream[i % stream.len()];
             i += 1;
             black_box(libra.decide(&engine, j))
-        })
-    });
-    let libra_ref = Libra::new();
-    let mut i = 0usize;
-    group.bench_function("libra_reference", |b| {
-        b.iter(|| {
-            let j = &stream[i % stream.len()];
-            i += 1;
-            black_box(libra_ref.decide_reference(&engine, j))
         })
     });
 

@@ -1,7 +1,7 @@
 //! `bench-json` mode for the admission hot path: times the steady-state
-//! decide loop (cached incremental `decide` vs the pre-change
-//! from-scratch `decide_reference` kernel) per policy — mean, p50 and
-//! p99 ns/decision — across a residents-per-node sweep, plus the
+//! decide loop per policy — mean, p50 and p99 ns/decision, plus
+//! LibraRisk's from-scratch `decide_reference` for comparison — across
+//! a residents-per-node sweep, plus the
 //! engine's event loop (heap-driven `next_event_time` vs the retired
 //! full scan) and the unified RMS driver's end-to-end trace replay
 //! throughput (jobs/sec), then writes the results as JSON.
@@ -70,32 +70,29 @@ fn candidate_stream(n: usize) -> Vec<Job> {
         .collect()
 }
 
-/// Per-policy timing summary: mean/p50/p99 ns per cached decision, the
-/// from-scratch reference's mean, and the resulting speedup.
+/// Per-policy timing summary: mean/p50/p99 ns per production decision
+/// and, for a policy with a from-scratch reference, the reference's mean
+/// (the JSON adds the resulting speedup).
 struct PolicyTiming {
     cached_mean: f64,
     cached_p50: f64,
     cached_p99: f64,
-    reference_mean: f64,
+    reference_mean: Option<f64>,
 }
 
 impl PolicyTiming {
-    fn speedup(&self) -> f64 {
-        self.reference_mean / self.cached_mean
-    }
-
     fn json(&self) -> String {
+        let reference = self.reference_mean.map_or(String::new(), |r| {
+            format!(
+                ", \"reference_ns_per_decision\": {r:.1}, \"speedup\": {:.2}",
+                r / self.cached_mean
+            )
+        });
         format!(
             "{{ \"cached_ns_per_decision\": {:.1}, \
              \"cached_p50_ns\": {:.1}, \
-             \"cached_p99_ns\": {:.1}, \
-             \"reference_ns_per_decision\": {:.1}, \
-             \"speedup\": {:.2} }}",
-            self.cached_mean,
-            self.cached_p50,
-            self.cached_p99,
-            self.reference_mean,
-            self.speedup()
+             \"cached_p99_ns\": {:.1}{reference} }}",
+            self.cached_mean, self.cached_p50, self.cached_p99,
         )
     }
 }
@@ -146,6 +143,23 @@ fn stats(samples: &[f64]) -> (f64, f64, f64) {
     (mean, p50, p99)
 }
 
+/// Times one policy's production `decide` on one engine load level.
+fn time_decide(
+    mut policy: impl ShareAdmission,
+    engine: &ProportionalCluster,
+    stream: &[Job],
+    decisions: usize,
+) -> PolicyTiming {
+    let samples = sample_decisions(|j| policy.decide(engine, j), stream, decisions);
+    let (mean, p50, p99) = stats(&samples);
+    PolicyTiming {
+        cached_mean: mean,
+        cached_p50: p50,
+        cached_p99: p99,
+        reference_mean: None,
+    }
+}
+
 /// Times both policies on one engine load level.
 fn time_policies(
     engine: &ProportionalCluster,
@@ -153,36 +167,17 @@ fn time_policies(
     decisions: usize,
     reference_decisions: usize,
 ) -> (PolicyTiming, PolicyTiming) {
-    let mut libra = Libra::new();
-    let libra_samples = sample_decisions(|j| libra.decide(engine, j), stream, decisions);
-    let libra_ref = Libra::new();
-    let libra_reference = reference_mean(
-        |j| libra_ref.decide_reference(engine, j),
-        stream,
-        reference_decisions,
-    );
-    let (mean, p50, p99) = stats(&libra_samples);
-    let libra_timing = PolicyTiming {
-        cached_mean: mean,
-        cached_p50: p50,
-        cached_p99: p99,
-        reference_mean: libra_reference,
-    };
-
-    let mut lr = LibraRisk::paper();
-    let lr_samples = sample_decisions(|j| lr.decide(engine, j), stream, decisions);
+    let libra_timing = time_decide(Libra::new(), engine, stream, decisions);
+    let lr_timing = time_decide(LibraRisk::paper(), engine, stream, decisions);
     let lr_ref = LibraRisk::paper();
     let lr_reference = reference_mean(
         |j| lr_ref.decide_reference(engine, j),
         stream,
         reference_decisions,
     );
-    let (mean, p50, p99) = stats(&lr_samples);
     let lr_timing = PolicyTiming {
-        cached_mean: mean,
-        cached_p50: p50,
-        cached_p99: p99,
-        reference_mean: lr_reference,
+        reference_mean: Some(lr_reference),
+        ..lr_timing
     };
     (libra_timing, lr_timing)
 }
@@ -542,8 +537,8 @@ fn main() {
     let cached_ns = isolated_event_query(drain_jobs, false);
     let scan_ns = isolated_event_query(drain_jobs, true);
 
-    // End-to-end replay through the unified RMS driver, one backend of
-    // each kind (proportional, queued, QoPS).
+    // End-to-end replay through the unified RMS driver: both share
+    // policies plus one queued and one QoPS backend.
     let driver_jobs = drain_jobs.max(1);
     eprintln!("unified driver replay: {driver_jobs}-job trace");
     let mut driver_trace = SyntheticSdscSp2 {
@@ -553,7 +548,12 @@ fn main() {
     .generate(11);
     DeadlineModel::default().assign(&mut Rng64::new(12), driver_trace.jobs_mut());
     let mut driver_cells = Vec::new();
-    for kind in [PolicyKind::LibraRisk, PolicyKind::Edf, PolicyKind::Qops] {
+    for kind in [
+        PolicyKind::Libra,
+        PolicyKind::LibraRisk,
+        PolicyKind::Edf,
+        PolicyKind::Qops,
+    ] {
         let (jps, fulfilled) = drive_trace_throughput(kind, &driver_trace);
         driver_cells.push(format!(
             "    \"{}\": {{ \"jobs_per_sec\": {jps:.0}, \"fulfilled\": {fulfilled} }}",

@@ -48,7 +48,6 @@ use crate::cluster::Cluster;
 use crate::node::NodeId;
 use crate::projection::{ProjectedJob, ShareDiscipline, EPS_DEADLINE, EPS_WORK};
 use sim::{SimDuration, SimTime};
-use std::cell::RefCell;
 use workload::{Job, JobId};
 
 /// The projection-input view of a not-yet-admitted job: its *full*
@@ -189,38 +188,6 @@ struct ResidentMeta {
     overruns: u32,
 }
 
-/// One entry of the share-ordered candidate index (see
-/// [`ProportionalCluster::with_share_index`]): a node together with its
-/// Eq. 2 base share (resident jobs only, evaluated at the engine's
-/// current instant).
-#[derive(Clone, Copy, Debug)]
-pub struct ShareEntry {
-    /// `node_total_share(node, None)` — bitwise identical to the direct
-    /// call, so `base_share + job_share(job)` reproduces
-    /// `node_total_share(node, Some(job))` exactly.
-    pub base_share: f64,
-    /// The node this entry describes.
-    pub node: NodeId,
-}
-
-/// Lazily maintained share-ordered node index. Entries are sorted by
-/// `(base_share ascending, node id ascending)`; staleness is detected in
-/// O(1) via the engine's global epoch, and only nodes whose per-node
-/// epoch moved get their share recomputed.
-#[derive(Clone, Debug, Default)]
-struct ShareIndex {
-    entries: Vec<ShareEntry>,
-    /// `pos[node]` = index of that node's entry in `entries`.
-    pos: Vec<u32>,
-    /// Per-node epoch pairs the shares were computed at (see
-    /// [`ProportionalCluster::node_epoch`]).
-    node_epochs: Vec<(u64, u64)>,
-    /// Engine global epoch the whole index was validated at.
-    global_epoch: u64,
-    /// `false` until the first build.
-    built: bool,
-}
-
 /// The proportional-share cluster engine.
 #[derive(Clone, Debug)]
 pub struct ProportionalCluster {
@@ -302,8 +269,7 @@ pub struct ProportionalCluster {
     /// [`ProportionalCluster::node_epoch`]'s time component.
     occ_mask: Vec<u64>,
     /// Bumped whenever *any* node epoch is bumped — an O(1) "did anything
-    /// change since I last looked" check for cluster-wide caches like the
-    /// share index.
+    /// change since I last looked" check for cluster-wide caches.
     global_epoch: u64,
     /// Minimum event-gap candidate over all residents, computed as a
     /// running min during the rate recompute (which already visits every
@@ -330,13 +296,8 @@ pub struct ProportionalCluster {
     victims_scratch: Vec<u32>,
     /// Reusable per-node share totals for the recompute passes.
     totals_scratch: Vec<f64>,
-    /// Interior-mutable because it is a pure cache over engine state:
-    /// refreshing it through a `&self` query does not change anything
-    /// scheduler-visible.
-    share_index: RefCell<ShareIndex>,
     /// Per-node down flags. A down node hosts no jobs and must never be
-    /// an admission target; the share index pins its base share to
-    /// `+inf` so share-ordered walks exclude it for free.
+    /// an admission target.
     down: Vec<bool>,
     down_count: usize,
 }
@@ -409,7 +370,6 @@ impl ProportionalCluster {
             completed_scratch: Vec::new(),
             victims_scratch: Vec::new(),
             totals_scratch: vec![0.0; n],
-            share_index: RefCell::new(ShareIndex::default()),
             down: vec![false; n],
             down_count: 0,
         }
@@ -831,8 +791,8 @@ impl ProportionalCluster {
     /// Cache contract: every node that lost a job gets its epoch bumped
     /// (its share total and projections changed), the failed node's
     /// epoch is bumped (its admission feasibility changed), and the
-    /// global epoch moves — so the share index, Libra's share walk and
-    /// LibraRisk's per-node risk caches all revalidate.
+    /// global epoch moves — so LibraRisk's per-node risk caches all
+    /// revalidate.
     ///
     /// # Panics
     /// Panics if the engine state is stale (`now != self.now()`) or the
@@ -1078,90 +1038,6 @@ impl ProportionalCluster {
         )
     }
 
-    /// Runs `f` over the share-ordered candidate index: one entry per
-    /// node, sorted by `(base_share ascending, node id ascending)`, where
-    /// `base_share` is bitwise identical to
-    /// `node_total_share(node, None)`.
-    ///
-    /// The index is a lazily maintained cache: validated in O(1) against
-    /// the global epoch, with only epoch-stale nodes recomputed (and a
-    /// re-sort only when some share actually changed). Best-fit admission
-    /// scans walk it in share order and stop at the first infeasible
-    /// entry — f64 addition is monotone non-decreasing, so every later
-    /// (larger-base) node is infeasible too.
-    pub fn with_share_index<T>(&self, f: impl FnOnce(&[ShareEntry]) -> T) -> T {
-        let mut idx = self.share_index.borrow_mut();
-        self.refresh_share_index(&mut idx);
-        f(&idx.entries)
-    }
-
-    fn refresh_share_index(&self, idx: &mut ShareIndex) {
-        let n = self.cluster.len();
-        if idx.built && idx.global_epoch == self.global_epoch {
-            return;
-        }
-        let sort_and_reindex = |idx: &mut ShareIndex| {
-            idx.entries.sort_unstable_by(|a, b| {
-                a.base_share
-                    .total_cmp(&b.base_share)
-                    .then_with(|| a.node.cmp(&b.node))
-            });
-            idx.pos.clear();
-            idx.pos.resize(n, 0);
-            for (i, e) in idx.entries.iter().enumerate() {
-                idx.pos[e.node.0 as usize] = i as u32;
-            }
-        };
-        if !idx.built {
-            idx.entries.clear();
-            idx.node_epochs.clear();
-            for node in 0..n {
-                let id = NodeId(node as u32);
-                idx.node_epochs.push(self.node_epoch(id));
-                idx.entries.push(ShareEntry {
-                    base_share: self.index_base_share(id),
-                    node: id,
-                });
-            }
-            sort_and_reindex(idx);
-            idx.global_epoch = self.global_epoch;
-            idx.built = true;
-            return;
-        }
-        // Incremental revalidation: only nodes whose epoch moved get their
-        // share recomputed; re-sort only if some share actually changed.
-        let mut dirty = false;
-        for node in 0..n {
-            let epoch = self.node_epoch(NodeId(node as u32));
-            if idx.node_epochs[node] == epoch {
-                continue;
-            }
-            idx.node_epochs[node] = epoch;
-            let share = self.index_base_share(NodeId(node as u32));
-            let p = idx.pos[node] as usize;
-            if idx.entries[p].base_share.to_bits() != share.to_bits() {
-                idx.entries[p].base_share = share;
-                dirty = true;
-            }
-        }
-        if dirty {
-            sort_and_reindex(idx);
-        }
-        idx.global_epoch = self.global_epoch;
-    }
-
-    /// Base share the index stores for a node: `+inf` for a down node
-    /// (sorts last, and `inf + job_share` stays infeasible, so
-    /// share-ordered admission walks exclude it without a branch), the
-    /// bitwise [`ProportionalCluster::node_total_share`] otherwise.
-    fn index_base_share(&self, node: NodeId) -> f64 {
-        if self.node_is_up(node) {
-            self.node_total_share(node, None)
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Scheduler-visible projection input for one node: the resident jobs'
     /// remaining *estimated* work and absolute deadlines, plus optionally
     /// a tentative new job (whose estimate is taken in full).
@@ -1216,8 +1092,7 @@ impl ProportionalCluster {
     ///
     /// Summation is left-to-right in resident order with the tentative
     /// job last, so `node_total_share(n, None) + job_share(job)` is
-    /// bitwise identical to `node_total_share(n, Some(job))` — the
-    /// identity Libra's per-node share cache relies on.
+    /// bitwise identical to `node_total_share(n, Some(job))`.
     pub fn node_total_share(&self, node: NodeId, extra: Option<&Job>) -> f64 {
         let now = self.last_update.as_secs();
         let mut sum = 0.0;
@@ -1379,10 +1254,10 @@ impl ProportionalCluster {
         self.rates_clean = true;
     }
 
-    /// Reference implementation of
-    /// [`ProportionalCluster::recompute_rates`]: fresh totals allocation,
-    /// no single-node fast path, and the event-gap minimum recovered by a
-    /// separate full scan. Kept as the differential-test oracle.
+    /// Reference implementation of the engine's rate recompute
+    /// (`recompute_rates`): fresh totals allocation, no single-node fast
+    /// path, and the event-gap minimum recovered by a separate full scan.
+    /// Kept as the differential-test oracle.
     pub fn recompute_rates_reference(&mut self) {
         let now = self.last_update.as_secs();
         let mut totals = vec![0.0f64; self.cluster.len()];
@@ -1465,7 +1340,7 @@ impl ProportionalCluster {
     /// Rebuilds an engine from a snapshot. Canonical state is injected
     /// verbatim; every derived structure — rates, per-node share
     /// totals, event-gap minimum, occupancy mask, min-deadline cache,
-    /// share index, scratch — is recomputed from it. Rates recompute by
+    /// scratch — is recomputed from it. Rates recompute by
     /// the same from-zero ascending-job-id fold every live recompute
     /// uses, so the restored engine is bitwise equal to the one the
     /// snapshot was taken from (epoch counters restart at zero, which
@@ -1779,16 +1654,8 @@ mod tests {
         // The survivors still drain to completion.
         let done = run_to_completion(&mut e);
         assert_eq!(done.len(), 2);
-        // The down node sorts last in the share index with an infinite base.
-        e.with_share_index(|entries| {
-            assert_eq!(entries.last().unwrap().node, NodeId(0));
-            assert!(entries.last().unwrap().base_share.is_infinite());
-        });
         e.restore_node(NodeId(0), e.now());
         assert!(e.node_is_up(NodeId(0)));
-        e.with_share_index(|entries| {
-            assert!(entries.iter().all(|s| s.base_share == 0.0));
-        });
     }
 
     #[test]
@@ -2163,58 +2030,6 @@ mod tests {
             assert!(guard < 100_000, "engine did not converge");
         }
         assert_eq!(done.len(), 2);
-    }
-
-    #[test]
-    fn share_index_matches_direct_totals_and_stays_sorted() {
-        let mut e = ProportionalCluster::new(cluster(4), ProportionalConfig::default());
-        let check = |e: &ProportionalCluster| {
-            e.with_share_index(|entries| {
-                assert_eq!(entries.len(), 4);
-                for w in entries.windows(2) {
-                    assert!(
-                        (w[0].base_share, w[0].node) <= (w[1].base_share, w[1].node),
-                        "index out of order: {w:?}"
-                    );
-                }
-                for entry in entries {
-                    assert_eq!(
-                        entry.base_share.to_bits(),
-                        e.node_total_share(entry.node, None).to_bits(),
-                        "stale share for {:?}",
-                        entry.node
-                    );
-                }
-            });
-        };
-        check(&e);
-        // Load the nodes unevenly, checking after every mutation kind.
-        e.admit(
-            job(0, 0.0, 60.0, 60.0, 1, 120.0),
-            vec![NodeId(2)],
-            SimTime::ZERO,
-        );
-        check(&e);
-        e.admit(
-            job(1, 0.0, 90.0, 90.0, 1, 100.0),
-            vec![NodeId(0)],
-            SimTime::ZERO,
-        );
-        e.admit(
-            job(2, 0.0, 30.0, 30.0, 1, 400.0),
-            vec![NodeId(2)],
-            SimTime::ZERO,
-        );
-        check(&e);
-        let next = e.next_event_time().unwrap();
-        e.advance(next);
-        check(&e);
-        while let Some(t) = e.next_event_time() {
-            e.advance(t);
-            check(&e);
-        }
-        assert!(e.is_empty());
-        check(&e);
     }
 
     #[test]

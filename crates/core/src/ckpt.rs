@@ -619,7 +619,7 @@ fn put_cluster(w: &mut Writer, cluster: &Cluster) {
 }
 
 fn meta_of(rms: &ClusterRms<'_>) -> Meta {
-    let (kind, cluster, config) = match &rms.state.backend {
+    let (kind, cluster, config) = match &rms.backend {
         ExecutionBackend::Proportional(b) => {
             let cfg = b.engine.config();
             (
@@ -665,7 +665,7 @@ fn meta_of(rms: &ClusterRms<'_>) -> Meta {
 
 fn encode_meta(rms: &ClusterRms<'_>) -> Vec<u8> {
     let mut w = Writer::default();
-    let (kind, cluster) = match &rms.state.backend {
+    let (kind, cluster) = match &rms.backend {
         ExecutionBackend::Proportional(b) => (KIND_PROPORTIONAL, b.engine.cluster()),
         ExecutionBackend::Queued(b) => (KIND_QUEUED, b.pool.cluster()),
         ExecutionBackend::Qops(b) => (KIND_QOPS, b.pool.cluster()),
@@ -673,7 +673,7 @@ fn encode_meta(rms: &ClusterRms<'_>) -> Vec<u8> {
     w.u8(kind);
     w.str(&rms.policy_name);
     put_cluster(&mut w, cluster);
-    match &rms.state.backend {
+    match &rms.backend {
         ExecutionBackend::Proportional(b) => {
             let cfg = b.engine.config();
             w.u8(discipline_code(cfg.discipline));
@@ -758,16 +758,15 @@ struct ShardSection {
 }
 
 fn encode_shard(rms: &ClusterRms<'_>) -> Vec<u8> {
-    let s = &rms.state;
     let mut w = Writer::default();
-    w.f64(s.now.as_secs());
-    w.u64(s.next_seq);
-    w.u8(match s.recovery {
+    w.f64(rms.now.as_secs());
+    w.u64(rms.next_seq);
+    w.u8(match rms.recovery {
         RecoveryPolicy::Kill => 0,
         RecoveryPolicy::Requeue => 1,
     });
-    put_churn(&mut w, &s.churn);
-    let plan_events = s.plan.events();
+    put_churn(&mut w, &rms.churn);
+    let plan_events = rms.plan.events();
     w.len(plan_events.len());
     for e in plan_events {
         w.f64(e.at.as_secs());
@@ -777,16 +776,16 @@ fn encode_shard(rms: &ClusterRms<'_>) -> Vec<u8> {
             FaultKind::NodeUp => 1,
         });
     }
-    w.len(s.plan.cursor());
-    let mut requeued: Vec<(&u64, &Job)> = s.requeued.iter().collect();
+    w.len(rms.plan.cursor());
+    let mut requeued: Vec<(&u64, &Job)> = rms.requeued.iter().collect();
     requeued.sort_by_key(|(seq, _)| **seq);
     w.len(requeued.len());
     for (seq, job) in requeued {
         w.u64(*seq);
         put_job(&mut w, job);
     }
-    w.len(s.events.len());
-    for e in &s.events {
+    w.len(rms.events.len());
+    for e in &rms.events {
         w.u64(e.seq);
         put_job(&mut w, &e.record.job);
         put_outcome(&mut w, &e.record.outcome);
@@ -976,7 +975,7 @@ fn get_queue(r: &mut Reader<'_>) -> Result<Vec<(u64, Job)>, CkptError> {
 
 fn encode_backend(rms: &ClusterRms<'_>) -> Vec<u8> {
     let mut w = Writer::default();
-    match &rms.state.backend {
+    match &rms.backend {
         ExecutionBackend::Proportional(b) => {
             w.u8(KIND_PROPORTIONAL);
             let snap = b.engine.snapshot();
@@ -1470,7 +1469,7 @@ pub fn save(rms: &ClusterRms<'_>, report: Option<&OnlineReport>) -> Vec<u8> {
     if let Some(rep) = report {
         sections.push((TAG_REPORT, encode_report(&rep.to_parts())));
     }
-    if let Some(rec) = rms.state.recorder.as_deref() {
+    if let Some(rec) = rms.recorder.as_deref() {
         if let (Some(ring), Some(registry)) = (rec.ring_snapshot(), rec.registry_snapshot()) {
             sections.push((TAG_RING, encode_ring(&ring, &registry)));
         }
@@ -1589,13 +1588,13 @@ impl Checkpoint {
     /// checkpoint's identity (same backend kind, policy name, cluster
     /// inventory and engine configuration, all compared in raw bits).
     fn check_blank(&self, blank: &ClusterRms<'_>) -> Result<(), CkptError> {
-        if blank.state.next_seq != 0
-            || blank.state.now != SimTime::ZERO
-            || !blank.state.events.is_empty()
-            || !blank.state.requeued.is_empty()
+        if blank.next_seq != 0
+            || blank.now != SimTime::ZERO
+            || !blank.events.is_empty()
+            || !blank.requeued.is_empty()
             || blank.in_flight() != 0
-            || !blank.state.plan.is_empty()
-            || blank.state.churn != ChurnStats::default()
+            || !blank.plan.is_empty()
+            || blank.churn != ChurnStats::default()
         {
             return Err(mismatch("restore target is not a blank RMS"));
         }
@@ -1623,13 +1622,12 @@ impl Checkpoint {
 
     /// Restores the checkpoint into a blank RMS built with the same
     /// policy, cluster and configuration, returning the resumed facade.
-    /// All derived engine state (rates, free lists, finish heaps, share
-    /// indexes, occupancy masks) is rebuilt from the canonical state,
-    /// so the result is bitwise equal to the RMS the checkpoint was
-    /// taken from.
+    /// All derived engine state (rates, free lists, finish heaps,
+    /// occupancy masks) is rebuilt from the canonical state, so the
+    /// result is bitwise equal to the RMS the checkpoint was taken from.
     pub fn restore_into<'p>(&self, mut blank: ClusterRms<'p>) -> Result<ClusterRms<'p>, CkptError> {
         self.check_blank(&blank)?;
-        match (&self.backend, &mut blank.state.backend) {
+        match (&self.backend, &mut blank.backend) {
             (
                 BackendSection::Proportional { engine, seq_of },
                 ExecutionBackend::Proportional(b),
@@ -1706,14 +1704,13 @@ impl Checkpoint {
             }
             _ => return Err(mismatch("backend kind changed between load and restore")),
         }
-        blank.state.now = self.shard.now;
-        blank.state.next_seq = self.shard.next_seq;
-        blank.state.events = self.shard.events.clone();
-        blank.state.plan =
-            FaultPlan::from_parts(self.shard.plan_events.clone(), self.shard.plan_cursor);
-        blank.state.recovery = self.shard.recovery;
-        blank.state.churn = self.shard.churn;
-        blank.state.requeued = self
+        blank.now = self.shard.now;
+        blank.next_seq = self.shard.next_seq;
+        blank.events = self.shard.events.clone();
+        blank.plan = FaultPlan::from_parts(self.shard.plan_events.clone(), self.shard.plan_cursor);
+        blank.recovery = self.shard.recovery;
+        blank.churn = self.shard.churn;
+        blank.requeued = self
             .shard
             .requeued
             .iter()

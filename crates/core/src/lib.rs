@@ -78,7 +78,7 @@ pub use report::{
     ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outcome, ReportCollector, ReportSink,
     SimulationReport,
 };
-pub use rms::{drive_trace, ClusterRms, Decision, ExecutionBackend, JobEvent, ShardState};
+pub use rms::{drive_trace, ClusterRms, Decision, ExecutionBackend, JobEvent};
 pub use router::{job_hash_shard, RouteBy, RouterError, ShardedRms};
 pub use scheduler::{run_proportional, run_queued};
 

@@ -21,21 +21,18 @@ pub const SHARE_EPSILON: f64 = 1e-9;
 
 /// The Libra admission control.
 ///
-/// Decisions walk the engine's share-ordered candidate index
-/// ([`ProportionalCluster::with_share_index`]) in ascending base-share
-/// order and stop at the first node the job does not fit on: f64
-/// addition is monotone non-decreasing, so every later (larger-base)
-/// node fails the same test. The index itself is maintained lazily by
-/// the engine against its epoch counters, so consecutive decisions
-/// between engine changes touch no per-node state at all.
+/// Each decision sums every up node's share total from scratch,
+/// tentative job included, and ranks the nodes that fit. A driven run
+/// advances the engine before every decision, which moves the share of
+/// every occupied node, so there is nothing to cache between decisions.
 #[derive(Clone, Debug)]
 pub struct Libra {
     name: String,
+    /// Reused across decisions, so a rejection allocates nothing.
     suitable: Vec<(f64, NodeId)>,
     /// Evaluation-volume counters of the most recent `decide` call.
-    /// Libra runs no projections, so only `nodes_considered` (share-index
-    /// entries actually tested) is ever nonzero — the monotone prune
-    /// settles every remaining node without evaluation.
+    /// Libra runs no projections, so only `nodes_considered` (up nodes
+    /// tested) is ever nonzero.
     stats: DecisionStats,
 }
 
@@ -59,35 +56,6 @@ impl Libra {
     pub fn with_name(mut self, name: &str) -> Self {
         self.name = name.to_string();
         self
-    }
-
-    /// The pre-cache decision logic: every node's share total is summed
-    /// from scratch, tentative job included. Kept as the differential
-    /// reference — `decide` must return bitwise-identical rankings.
-    pub fn decide_reference(&self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
-        let want = job.procs as usize;
-        if want > engine.up_nodes() {
-            return None;
-        }
-        let mut suitable: Vec<(f64, NodeId)> = Vec::new();
-        for node in engine.cluster().nodes() {
-            if !engine.node_is_up(node.id) {
-                continue;
-            }
-            let with_new = engine.node_total_share(node.id, Some(job));
-            if with_new <= 1.0 + SHARE_EPSILON {
-                suitable.push((with_new, node.id));
-            }
-        }
-        if suitable.len() < want {
-            return None;
-        }
-        suitable.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("shares are finite")
-                .then(a.1.cmp(&b.1))
-        });
-        Some(suitable.into_iter().take(want).map(|(_, id)| id).collect())
     }
 }
 
@@ -125,36 +93,22 @@ impl ShareAdmission for Libra {
         if want > engine.up_nodes() {
             return None;
         }
-        // Down nodes need no explicit check here: the share index carries
-        // them with an infinite base share, so the monotone prune below
-        // stops before ever reaching one.
-        // The tentative job's share is node-independent; summing it onto a
-        // node's indexed base is bitwise identical to the from-scratch
-        // `node_total_share(node, Some(job))` because that sum also adds
-        // the tentative job last.
-        let job_share = engine.job_share(job);
-        // Collect suitable nodes from the share-ordered index, pruning
-        // the scan at the first infeasible entry: bases ascend, so once
-        // `base + job_share` exceeds capacity every later node's sum
-        // (monotone in the base) exceeds it too.
         self.suitable.clear();
-        engine.with_share_index(|entries| {
-            for e in entries {
-                self.stats.nodes_considered += 1;
-                let with_new = e.base_share + job_share;
-                if with_new > 1.0 + SHARE_EPSILON {
-                    break;
-                }
-                self.suitable.push((with_new, e.node));
+        for node in engine.cluster().nodes() {
+            if !engine.node_is_up(node.id) {
+                continue;
             }
-        });
+            self.stats.nodes_considered += 1;
+            let with_new = engine.node_total_share(node.id, Some(job));
+            if with_new <= 1.0 + SHARE_EPSILON {
+                self.suitable.push((with_new, node.id));
+            }
+        }
         if self.suitable.len() < want {
             return None;
         }
         // Rank by the share each node would have *after* accepting the
-        // job — fullest first (best fit). The comparator is a total
-        // order over distinct node ids, so sorting the index-ordered
-        // collection yields exactly the reference's ranking.
+        // job — fullest first (best fit), ties to the lower node id.
         self.suitable.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .expect("shares are finite")
@@ -252,30 +206,31 @@ mod tests {
     }
 
     #[test]
-    fn cached_decisions_match_reference_through_state_changes() {
+    fn down_nodes_are_never_selected_until_restored() {
         let mut libra = Libra::new();
-        let mut e = engine(4);
-        let mut t = 0.0;
-        for round in 0..30 {
-            let j = job(
-                100 + round as u64,
-                20.0 + (round % 7) as f64 * 11.0,
-                1 + (round % 2) as u32,
-                120.0,
-            );
-            let cached = libra.decide(&e, &j);
-            let reference = libra.decide_reference(&e, &j);
-            assert_eq!(cached, reference, "round {round}");
-            if let Some(nodes) = cached {
-                e.admit(j, nodes, sim::SimTime::from_secs(t));
-            }
-            if round % 3 == 2 {
-                if let Some(next) = e.next_event_time() {
-                    t = next.as_secs();
-                    e.advance(next);
-                }
-            }
+        let mut e = engine(3);
+        // Nodes 0 and 2 at share 0.8; node 1 empty.
+        e.admit(job(1, 80.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
+        e.admit(job(2, 80.0, 1, 100.0), vec![NodeId(2)], SimTime::ZERO);
+        // Share 0.5 fits only on node 1.
+        let half = job(3, 50.0, 1, 100.0);
+        assert_eq!(libra.decide(&e, &half), Some(vec![NodeId(1)]));
+        e.fail_node(NodeId(1), SimTime::ZERO);
+        assert_eq!(libra.decide(&e, &half), None);
+        // Jobs that fit anywhere still avoid the down node.
+        for (id, estimate, procs) in [(4, 10.0, 1), (5, 10.0, 2), (6, 1.0, 2)] {
+            let nodes = libra
+                .decide(&e, &job(id, estimate, procs, 100.0))
+                .expect("fits on the up nodes");
+            assert!(!nodes.contains(&NodeId(1)), "job {id} got down node 1");
         }
+        assert_eq!(libra.decide(&e, &job(7, 1.0, 3, 100.0)), None);
+        e.restore_node(NodeId(1), SimTime::ZERO);
+        assert_eq!(libra.decide(&e, &half), Some(vec![NodeId(1)]));
+        let all = libra
+            .decide(&e, &job(8, 1.0, 3, 100.0))
+            .expect("3 nodes up");
+        assert!(all.contains(&NodeId(1)));
     }
 
     #[test]

@@ -60,8 +60,8 @@ impl DecisionStats {
 /// paper's model: SLA terms cannot change after submission, and rejected
 /// jobs do not return).
 ///
-/// `decide` takes `&mut self` so implementations can memoise per-node
-/// work across consecutive decisions (both built-in policies cache
+/// `decide` takes `&mut self` so implementations can reuse buffers and
+/// memoise per-node work across consecutive decisions (LibraRisk caches
 /// against [`ProportionalCluster::node_epoch`]). The contract for such
 /// caches: a policy instance is consulted about **one** engine for its
 /// whole life — create a fresh instance per simulation, as

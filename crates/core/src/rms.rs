@@ -17,9 +17,9 @@
 //! share engine (Libra/LibraRisk, §3), the space-shared queueing engine
 //! (EDF/FCFS, §4), and the QoPS soft-deadline controller (related work,
 //! §2). [`drive_trace`] is the single generic batch driver over the sim
-//! crate's event loop — it replaces `run_proportional`, `run_queued` and
-//! `run_qops`, whose original loop bodies survive as `*_reference`
-//! differential oracles for one PR.
+//! crate's event loop; the per-engine batch loops it replaced are gone,
+//! and their behaviour is pinned bitwise by the golden fixture in
+//! `tests/fixtures/golden_outcomes.txt`.
 //!
 //! # Equivalence contract
 //!
@@ -95,7 +95,7 @@ impl Decision {
 
 /// A borrowed recorder threaded through the hook sites; `None` (the
 /// default) behaves like [`obs::NoopRecorder`] at the cost of one
-/// branch per site. The `Send` bound keeps [`ShardState`] movable to a
+/// branch per site. The `Send` bound keeps [`ClusterRms`] movable to a
 /// router worker thread.
 type Obs<'a> = Option<&'a mut (dyn Recorder + Send + 'a)>;
 
@@ -149,6 +149,132 @@ fn note_decision(
                 reg.observe(hist_key, bounds, g.after);
             }
         }
+    }
+}
+
+/// The capacity verdict every backend gives at submit: a job wider than
+/// the whole machine is rejected for [`RejectReason::Width`], one wider
+/// than the `up` nodes currently in service for
+/// [`RejectReason::NodeDown`]. `None` means the job fits.
+fn capacity_reject(procs: u32, total: usize, up: usize) -> Option<RejectReason> {
+    let procs = procs as usize;
+    if procs > total {
+        Some(RejectReason::Width)
+    } else if procs > up {
+        Some(RejectReason::NodeDown)
+    } else {
+        None
+    }
+}
+
+/// Audits a space-shared submission: the verdict plus the queue-depth
+/// gauge around it. `started` is set exactly when recording.
+fn note_queued_decision(
+    obs: Obs<'_>,
+    started: Option<std::time::Instant>,
+    now: SimTime,
+    seq: u64,
+    job_id: u64,
+    decision: Decision,
+    depth: (usize, usize),
+) {
+    let (Some(rec), Some(started)) = (obs, started) else {
+        return;
+    };
+    let audit = DecisionAudit {
+        best_fit_node: None,
+        gauge: Some(GaugeDelta {
+            key: "queue_depth",
+            before: depth.0 as f64,
+            after: depth.1 as f64,
+        }),
+    };
+    let latency_ns = started.elapsed().as_nanos() as u64;
+    note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
+}
+
+/// Streams a completion through a backend's sequence map and returns
+/// the job's sequence. A completion without a mapping means the job
+/// already resolved through another path (e.g. displaced by a fault):
+/// the outcome is final, so the stale completion is dropped rather than
+/// double-resolved or crashing the whole run.
+fn emit_completion(
+    seq_of: &mut HashMap<JobId, u64>,
+    job: Job,
+    started: SimTime,
+    finish: SimTime,
+    events: &mut Vec<JobEvent>,
+) -> Option<u64> {
+    let Some(seq) = seq_of.remove(&job.id) else {
+        debug_assert!(false, "completed {} was never mapped", job.id);
+        return None;
+    };
+    events.push(JobEvent::new(
+        seq,
+        job,
+        Outcome::Completed { started, finish },
+    ));
+    Some(seq)
+}
+
+/// Rejects every queued job wider than the `cap` processors still up:
+/// such a job can never start.
+fn reject_wider_than(
+    queue: &mut Vec<QueuedJob>,
+    cap: usize,
+    at: SimTime,
+    events: &mut Vec<JobEvent>,
+) {
+    for entry in queue.extract_if(.., |q| q.job.procs as usize > cap) {
+        events.push(JobEvent::new(
+            entry.seq,
+            entry.job,
+            Outcome::Rejected {
+                at,
+                reason: RejectReason::NodeDown,
+            },
+        ));
+    }
+}
+
+/// A node failure being applied, together with the facade state every
+/// backend books its displaced jobs into.
+struct NodeFailure<'a> {
+    at: SimTime,
+    node: NodeId,
+    recovery: RecoveryPolicy,
+    churn: &'a mut ChurnStats,
+    requeued: &'a mut HashMap<u64, Job>,
+    events: &'a mut Vec<JobEvent>,
+}
+
+impl NodeFailure<'_> {
+    /// Books one displaced job under the recovery policy. A kill is
+    /// counted and streamed as [`Outcome::Killed`]; a requeue is
+    /// counted, the job's submitted form is kept for reporting, and the
+    /// job is handed back for the backend to re-admit.
+    fn recover(&mut self, seq: u64, job: Job) -> Option<Job> {
+        match self.recovery {
+            RecoveryPolicy::Kill => {
+                self.churn.kills += 1;
+                let (at, node) = (self.at, self.node);
+                self.events
+                    .push(JobEvent::new(seq, job, Outcome::Killed { at, node }));
+                None
+            }
+            RecoveryPolicy::Requeue => {
+                self.churn.requeues += 1;
+                self.requeued.entry(seq).or_insert_with(|| job.clone());
+                Some(job)
+            }
+        }
+    }
+
+    /// Streams the rejection of a job that could not be re-admitted.
+    fn reject(&mut self, seq: u64, job: Job, reason: RejectReason) {
+        let at = self.at;
+        self.events
+            .push(JobEvent::new(seq, job, Outcome::Rejected { at, reason }));
     }
 }
 
@@ -223,95 +349,58 @@ impl ProportionalBackend<'_> {
         let mut completed = std::mem::take(&mut self.completed_buf);
         self.engine.advance_into(to, &mut completed);
         for done in completed.drain(..) {
-            // A completion without a sequence mapping means the job
-            // already resolved through another path (e.g. displaced by a
-            // fault): the outcome is final, so drop the stale completion
-            // rather than double-resolve or crash the whole run.
-            let Some(seq) = self.seq_of.remove(&done.job.id) else {
-                debug_assert!(false, "completed {} was never mapped", done.job.id);
-                continue;
-            };
-            events.push(JobEvent::new(
-                seq,
+            emit_completion(
+                &mut self.seq_of,
                 done.job,
-                Outcome::Completed {
-                    started: done.started,
-                    finish: done.finish,
-                },
-            ));
+                done.started,
+                done.finish,
+                events,
+            );
         }
         obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
         self.completed_buf = completed;
     }
 
-    /// Applies a node failure at `at`: the engine is advanced to the
-    /// fault instant (completions at or before it fire first), every
-    /// displaced gang is killed or re-admitted per `recovery`, and the
+    /// Applies a node failure: the engine is advanced to the fault
+    /// instant (completions at or before it fire first), every displaced
+    /// gang is killed or re-admitted per the recovery policy, and the
     /// node stops being an admission target.
-    fn fail(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        recovery: RecoveryPolicy,
-        churn: &mut ChurnStats,
-        requeued: &mut HashMap<u64, Job>,
-        events: &mut Vec<JobEvent>,
-    ) {
-        self.catch_up(at, events);
-        self.advance_engine(at, events);
-        for d in self.engine.fail_node(node, at) {
+    fn fail(&mut self, f: &mut NodeFailure<'_>) {
+        let at = f.at;
+        self.catch_up(at, f.events);
+        self.advance_engine(at, f.events);
+        for d in self.engine.fail_node(f.node, at) {
             let Some(seq) = self.seq_of.remove(&d.job.id) else {
                 debug_assert!(false, "displaced {} was never mapped", d.job.id);
                 continue;
             };
-            match recovery {
-                RecoveryPolicy::Kill => {
-                    churn.kills += 1;
-                    events.push(JobEvent::new(seq, d.job, Outcome::Killed { at, node }));
+            let Some(job) = f.recover(seq, d.job) else {
+                continue;
+            };
+            // Re-submit against the *remaining* deadline: the SLA keeps
+            // its original absolute deadline, and progress made before
+            // the fault is preserved (the engine's proportional shares
+            // checkpoint implicitly).
+            let remaining_deadline = job.absolute_deadline() - at;
+            if !remaining_deadline.is_positive() || d.remaining_work <= 0.0 {
+                f.reject(seq, job, RejectReason::Deadline);
+                continue;
+            }
+            let retry = Job {
+                submit: at,
+                runtime: SimDuration::from_secs(d.remaining_work),
+                estimate: SimDuration::from_secs(d.remaining_est.max(1e-9)),
+                deadline: remaining_deadline,
+                ..job.clone()
+            };
+            match self.policy.decide(&self.engine, &retry) {
+                Some(nodes) => {
+                    self.seq_of.insert(retry.id, seq);
+                    self.engine.admit(retry, nodes, at);
                 }
-                RecoveryPolicy::Requeue => {
-                    churn.requeues += 1;
-                    requeued.entry(seq).or_insert_with(|| d.job.clone());
-                    // Re-submit against the *remaining* deadline: the SLA
-                    // keeps its original absolute deadline, and progress
-                    // made before the fault is preserved (the engine's
-                    // proportional shares checkpoint implicitly).
-                    let remaining_deadline = d.job.absolute_deadline() - at;
-                    if !remaining_deadline.is_positive() || d.remaining_work <= 0.0 {
-                        events.push(JobEvent::new(
-                            seq,
-                            d.job,
-                            Outcome::Rejected {
-                                at,
-                                reason: RejectReason::Deadline,
-                            },
-                        ));
-                        continue;
-                    }
-                    let retry = Job {
-                        submit: at,
-                        runtime: SimDuration::from_secs(d.remaining_work),
-                        estimate: SimDuration::from_secs(d.remaining_est.max(1e-9)),
-                        deadline: remaining_deadline,
-                        ..d.job.clone()
-                    };
-                    match self.policy.decide(&self.engine, &retry) {
-                        Some(nodes) => {
-                            self.seq_of.insert(retry.id, seq);
-                            self.engine.admit(retry, nodes, at);
-                        }
-                        // The late reject: admission no longer finds room
-                        // for the survivor under its shrunken deadline.
-                        None => events.push(JobEvent::new(
-                            seq,
-                            d.job,
-                            Outcome::Rejected {
-                                at,
-                                reason: self.policy.reject_reason(),
-                            },
-                        )),
-                    }
-                }
+                // The late reject: admission no longer finds room for the
+                // survivor under its shrunken deadline.
+                None => f.reject(seq, job, self.policy.reject_reason()),
             }
         }
     }
@@ -358,13 +447,12 @@ impl ProportionalBackend<'_> {
                 (Decision::Accepted, best)
             }
             None => {
-                let reason = if job.procs as usize > self.engine.cluster().len() {
-                    RejectReason::Width
-                } else if job.procs as usize > self.engine.up_nodes() {
-                    RejectReason::NodeDown
-                } else {
-                    self.policy.reject_reason()
-                };
+                let reason = capacity_reject(
+                    job.procs,
+                    self.engine.cluster().len(),
+                    self.engine.up_nodes(),
+                )
+                .unwrap_or_else(|| self.policy.reject_reason());
                 events.push(JobEvent::new(
                     seq,
                     job,
@@ -438,85 +526,37 @@ impl QueuedBackend {
                 break;
             }
             let (job, started, finish) = self.pool.complete_next();
-            // See `ProportionalBackend::advance_engine`: a missing
-            // mapping means the job already resolved elsewhere — skip the
-            // stale completion instead of crashing the run.
-            let Some(seq) = self.seq_of.remove(&job.id) else {
-                debug_assert!(false, "completed {} was never mapped", job.id);
-                self.dispatch(finish, events);
-                continue;
-            };
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Completed { started, finish },
-            ));
+            emit_completion(&mut self.seq_of, job, started, finish, events);
             self.dispatch(finish, events);
         }
     }
 
-    /// Applies a node failure at `at`. The displaced job (if the node was
-    /// hosting one) is killed or pushed back onto the queue per
-    /// `recovery` — a space-shared substrate cannot checkpoint, so a
-    /// requeued job restarts from scratch and the selection rule's
+    /// Applies a node failure. The displaced job (if the node was
+    /// hosting one) is killed or pushed back onto the queue per the
+    /// recovery policy — a space-shared substrate cannot checkpoint, so
+    /// a requeued job restarts from scratch and the selection rule's
     /// admission test naturally re-evaluates it against what is left of
     /// its deadline. Queued jobs wider than the surviving capacity can
     /// never start and are rejected on the spot.
-    fn fail(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        recovery: RecoveryPolicy,
-        churn: &mut ChurnStats,
-        requeued: &mut HashMap<u64, Job>,
-        events: &mut Vec<JobEvent>,
-    ) {
-        self.catch_up(Some(at), events);
-        if let Some((job, _started)) = self.pool.fail_node(node, at) {
+    fn fail(&mut self, f: &mut NodeFailure<'_>) {
+        self.catch_up(Some(f.at), f.events);
+        if let Some((job, _started)) = self.pool.fail_node(f.node, f.at) {
             if let Some(seq) = self.seq_of.remove(&job.id) {
-                match recovery {
-                    RecoveryPolicy::Kill => {
-                        churn.kills += 1;
-                        events.push(JobEvent::new(seq, job, Outcome::Killed { at, node }));
-                    }
-                    RecoveryPolicy::Requeue => {
-                        churn.requeues += 1;
-                        requeued.entry(seq).or_insert_with(|| job.clone());
-                        self.queue.push(QueuedJob { seq, job });
-                    }
+                if let Some(job) = f.recover(seq, job) {
+                    self.queue.push(QueuedJob { seq, job });
                 }
             } else {
                 debug_assert!(false, "displaced {} was never mapped", job.id);
             }
         }
-        self.reject_wider_than_capacity(at, events);
-        self.dispatch(at, events);
+        reject_wider_than(&mut self.queue, self.pool.up_procs(), f.at, f.events);
+        self.dispatch(f.at, f.events);
     }
 
     fn restore(&mut self, at: SimTime, node: NodeId, events: &mut Vec<JobEvent>) {
         self.catch_up(Some(at), events);
         self.pool.restore_node(node, at);
         self.dispatch(at, events);
-    }
-
-    fn reject_wider_than_capacity(&mut self, at: SimTime, events: &mut Vec<JobEvent>) {
-        let cap = self.pool.up_procs();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].job.procs as usize > cap {
-                let entry = self.queue.remove(i);
-                events.push(JobEvent::new(
-                    entry.seq,
-                    entry.job,
-                    Outcome::Rejected {
-                        at,
-                        reason: RejectReason::NodeDown,
-                    },
-                ));
-            } else {
-                i += 1;
-            }
-        }
     }
 
     /// The dispatch loop of the batch scheduler, verbatim: selected jobs
@@ -587,13 +627,10 @@ impl QueuedBackend {
         let started = recording.then(std::time::Instant::now);
         let depth_before = self.queue.len();
         let job_id = job.id.0;
-        let decision = if job.procs as usize > self.pool.up_procs() {
-            // Wider than the machine (as currently up): can never start.
-            let reason = if job.procs as usize > self.pool.cluster().len() {
-                RejectReason::Width
-            } else {
-                RejectReason::NodeDown
-            };
+        // Wider than the machine (as currently up): can never start.
+        let decision = if let Some(reason) =
+            capacity_reject(job.procs, self.pool.cluster().len(), self.pool.up_procs())
+        {
             events.push(JobEvent::new(
                 seq,
                 job,
@@ -604,20 +641,8 @@ impl QueuedBackend {
             self.queue.push(QueuedJob { seq, job });
             Decision::Queued
         };
-        if let Some(rec) = obs {
-            if recording {
-                let audit = DecisionAudit {
-                    best_fit_node: None,
-                    gauge: Some(GaugeDelta {
-                        key: "queue_depth",
-                        before: depth_before as f64,
-                        after: self.queue.len() as f64,
-                    }),
-                };
-                let latency_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
-            }
-        }
+        let depth = (depth_before, self.queue.len());
+        note_queued_decision(obs, started, now, seq, job_id, decision, depth);
         self.dispatch(now, events);
         decision
     }
@@ -647,19 +672,9 @@ impl QopsBackend {
                 break;
             }
             let (job, started, finish) = self.pool.complete_next();
-            // See `ProportionalBackend::advance_engine`: skip a stale
-            // completion whose job already resolved elsewhere.
-            let Some(seq) = self.seq_of.remove(&job.id) else {
-                debug_assert!(false, "completed {} was never mapped", job.id);
-                self.dispatch(finish);
-                continue;
-            };
-            self.running.retain(|(s, _, _)| *s != seq);
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Completed { started, finish },
-            ));
+            if let Some(seq) = emit_completion(&mut self.seq_of, job, started, finish, events) {
+                self.running.retain(|(s, _, _)| *s != seq);
+            }
             self.dispatch(finish);
         }
     }
@@ -704,51 +719,21 @@ impl QopsBackend {
         schedulable(now_s, free_at, pending)
     }
 
-    /// Applies a node failure at `at`. A displaced job restarts from
-    /// scratch if requeued, but must pass the schedulability test again —
-    /// evaluated *now*, so effectively against its remaining deadline.
-    fn fail(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        recovery: RecoveryPolicy,
-        churn: &mut ChurnStats,
-        requeued: &mut HashMap<u64, Job>,
-        events: &mut Vec<JobEvent>,
-    ) {
-        self.catch_up(Some(at), events);
-        if let Some((job, _started)) = self.pool.fail_node(node, at) {
+    /// Applies a node failure. A displaced job restarts from scratch if
+    /// requeued, but must pass the schedulability test again — evaluated
+    /// *now*, so effectively against its remaining deadline.
+    fn fail(&mut self, f: &mut NodeFailure<'_>) {
+        self.catch_up(Some(f.at), f.events);
+        if let Some((job, _started)) = self.pool.fail_node(f.node, f.at) {
             if let Some(seq) = self.seq_of.remove(&job.id) {
                 self.running.retain(|(s, _, _)| *s != seq);
-                match recovery {
-                    RecoveryPolicy::Kill => {
-                        churn.kills += 1;
-                        events.push(JobEvent::new(seq, job, Outcome::Killed { at, node }));
-                    }
-                    RecoveryPolicy::Requeue => {
-                        churn.requeues += 1;
-                        requeued.entry(seq).or_insert_with(|| job.clone());
-                        if job.procs as usize > self.pool.up_procs() {
-                            events.push(JobEvent::new(
-                                seq,
-                                job,
-                                Outcome::Rejected {
-                                    at,
-                                    reason: RejectReason::NodeDown,
-                                },
-                            ));
-                        } else if self.is_schedulable(at, &job, seq) {
-                            self.queue.push(QueuedJob { seq, job });
-                        } else {
-                            events.push(JobEvent::new(
-                                seq,
-                                job,
-                                Outcome::Rejected {
-                                    at,
-                                    reason: RejectReason::OverRisk,
-                                },
-                            ));
-                        }
+                if let Some(job) = f.recover(seq, job) {
+                    if job.procs as usize > self.pool.up_procs() {
+                        f.reject(seq, job, RejectReason::NodeDown);
+                    } else if self.is_schedulable(f.at, &job, seq) {
+                        self.queue.push(QueuedJob { seq, job });
+                    } else {
+                        f.reject(seq, job, RejectReason::OverRisk);
                     }
                 }
             } else {
@@ -756,24 +741,8 @@ impl QopsBackend {
             }
         }
         // Queued jobs wider than the surviving capacity can never start.
-        let cap = self.pool.up_procs();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].job.procs as usize > cap {
-                let entry = self.queue.remove(i);
-                events.push(JobEvent::new(
-                    entry.seq,
-                    entry.job,
-                    Outcome::Rejected {
-                        at,
-                        reason: RejectReason::NodeDown,
-                    },
-                ));
-            } else {
-                i += 1;
-            }
-        }
-        self.dispatch(at);
+        reject_wider_than(&mut self.queue, self.pool.up_procs(), f.at, f.events);
+        self.dispatch(f.at);
     }
 
     fn restore(&mut self, at: SimTime, node: NodeId, events: &mut Vec<JobEvent>) {
@@ -826,12 +795,9 @@ impl QopsBackend {
         let started = recording.then(std::time::Instant::now);
         let depth_before = self.queue.len();
         let job_id = job.id.0;
-        let decision = if job.procs as usize > self.pool.up_procs() {
-            let reason = if job.procs as usize > self.pool.cluster().len() {
-                RejectReason::Width
-            } else {
-                RejectReason::NodeDown
-            };
+        let decision = if let Some(reason) =
+            capacity_reject(job.procs, self.pool.cluster().len(), self.pool.up_procs())
+        {
             events.push(JobEvent::new(
                 seq,
                 job,
@@ -852,20 +818,8 @@ impl QopsBackend {
             ));
             Decision::Rejected(RejectReason::OverRisk)
         };
-        if let Some(rec) = obs {
-            if recording {
-                let audit = DecisionAudit {
-                    best_fit_node: None,
-                    gauge: Some(GaugeDelta {
-                        key: "queue_depth",
-                        before: depth_before as f64,
-                        after: self.queue.len() as f64,
-                    }),
-                };
-                let latency_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
-            }
-        }
+        let depth = (depth_before, self.queue.len());
+        note_queued_decision(obs, started, now, seq, job_id, decision, depth);
         self.dispatch(now);
         decision
     }
@@ -876,20 +830,22 @@ impl QopsBackend {
     }
 }
 
-/// The self-contained engine state of one RMS shard: the execution
-/// backend plus every piece of bookkeeping the online state machine
-/// owns — virtual clock, submission sequencing, buffered outcome
-/// events, the fault-plan cursor, churn aggregates, requeue originals
-/// and the optional recorder.
+/// The online RMS facade: one submit/advance/drain state machine over any
+/// [`ExecutionBackend`]. It owns the backend plus every piece of
+/// bookkeeping the online state machine needs — virtual clock,
+/// submission sequencing, buffered outcome events, the fault-plan
+/// cursor, churn aggregates, requeue originals and the optional
+/// recorder — and one `ClusterRms` is exactly one shard of a
+/// [`ShardedRms`](crate::router::ShardedRms).
 ///
 /// No field references anything outside the struct (the recorder is an
 /// exclusive borrow, the policy box is `Send`), so a shard moves
-/// wholesale onto a worker thread — that is what lets
-/// [`ShardedRms`](crate::router::ShardedRms) fan N of these out on
-/// `std::thread::scope` workers. The compile-time assertion next to
-/// [`ClusterRms`] keeps this true as fields evolve.
-pub struct ShardState<'p> {
+/// wholesale onto a worker thread — that is what lets the router fan N
+/// of these out on `std::thread::scope` workers. The compile-time
+/// assertion below keeps this true as fields evolve.
+pub struct ClusterRms<'p> {
     pub(crate) backend: ExecutionBackend<'p>,
+    pub(crate) policy_name: String,
     pub(crate) now: SimTime,
     pub(crate) next_seq: u64,
     pub(crate) events: Vec<JobEvent>,
@@ -909,10 +865,20 @@ pub struct ShardState<'p> {
     pub(crate) recorder: Option<&'p mut (dyn Recorder + Send + 'p)>,
 }
 
-impl<'p> ShardState<'p> {
-    fn new(backend: ExecutionBackend<'p>) -> Self {
-        ShardState {
+// A shard must be free-standing so the router can move it onto a scoped
+// worker thread. If a future field smuggles in a non-`Send` handle (an
+// `Rc`, a thread-bound cache, a non-`Send` trait object), this fails to
+// compile right here instead of surfacing as a distant router error.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ClusterRms<'static>>();
+};
+
+impl<'p> ClusterRms<'p> {
+    fn new(backend: ExecutionBackend<'p>, policy_name: String) -> Self {
+        ClusterRms {
             backend,
+            policy_name,
             now: SimTime::ZERO,
             next_seq: 0,
             events: Vec::new(),
@@ -922,6 +888,109 @@ impl<'p> ShardState<'p> {
             requeued: HashMap::new(),
             recorder: None,
         }
+    }
+
+    /// A proportional-share RMS (Libra, LibraRisk, ablations) over the
+    /// given cluster and engine configuration.
+    pub fn proportional(
+        cluster: Cluster,
+        cfg: ProportionalConfig,
+        policy: impl ShareAdmission + Send + 'p,
+    ) -> Self {
+        let policy_name = policy.name();
+        Self::new(
+            ExecutionBackend::Proportional(ProportionalBackend {
+                engine: ProportionalCluster::new(cluster, cfg),
+                policy: Box::new(policy),
+                seq_of: HashMap::new(),
+                completed_buf: Vec::new(),
+            }),
+            policy_name,
+        )
+    }
+
+    /// A space-shared queueing RMS (EDF, EDF-NoAC, FCFS, backfilling).
+    pub fn queued(cluster: Cluster, policy: QueuePolicy) -> Self {
+        let policy_name = policy.name().to_string();
+        Self::new(
+            ExecutionBackend::Queued(QueuedBackend {
+                policy,
+                pool: SpaceSharedCluster::new(cluster),
+                queue: Vec::new(),
+                seq_of: HashMap::new(),
+            }),
+            policy_name,
+        )
+    }
+
+    /// A QoPS-style soft-deadline RMS.
+    ///
+    /// # Panics
+    /// Panics if `cfg.slack_factor < 1`.
+    pub fn qops(cluster: Cluster, cfg: QopsConfig) -> Self {
+        assert!(cfg.slack_factor >= 1.0, "slack factor must be ≥ 1");
+        Self::new(
+            ExecutionBackend::Qops(QopsBackend {
+                cfg,
+                pool: SpaceSharedCluster::new(cluster),
+                queue: Vec::new(),
+                running: Vec::new(),
+                seq_of: HashMap::new(),
+            }),
+            format!("QoPS(sf={})", cfg.slack_factor),
+        )
+    }
+
+    /// Overrides the policy name used in reports.
+    pub fn with_policy_name(mut self, name: impl Into<String>) -> Self {
+        self.policy_name = name.into();
+        self
+    }
+
+    /// Installs a node-churn plan and the recovery policy for displaced
+    /// jobs. Fault events apply as time advances, each *before* any job
+    /// arrival at the same instant; an empty plan leaves the RMS bitwise
+    /// identical to one built without this call.
+    pub fn with_faults(mut self, plan: FaultPlan, recovery: RecoveryPolicy) -> Self {
+        self.plan = plan;
+        self.recovery = recovery;
+        self
+    }
+
+    /// Attaches a recorder observing every submission, decision, fault
+    /// and resolution. The recorder is borrowed, so the caller keeps
+    /// ownership and can export the trace after the run. Recording is
+    /// behaviourally inert: outcomes are bitwise identical with any
+    /// recorder (or none), and a disabled recorder costs one branch per
+    /// hook site. The recorder must be `Send` so the shard can follow
+    /// its RMS onto a router worker thread.
+    ///
+    /// Returns the facade re-parameterised at the recorder's lifetime
+    /// (`ClusterRms` is invariant over `'p` because of the `&mut`
+    /// recorder slot, so a `ClusterRms<'static>` from
+    /// [`PolicyKind::rms`](crate::policy::PolicyKind::rms) could
+    /// otherwise never borrow a stack-local recorder).
+    pub fn with_recorder<'r>(self, recorder: &'r mut (dyn Recorder + Send + 'r)) -> ClusterRms<'r>
+    where
+        'p: 'r,
+    {
+        ClusterRms {
+            backend: self.backend,
+            policy_name: self.policy_name,
+            now: self.now,
+            next_seq: self.next_seq,
+            events: self.events,
+            plan: self.plan,
+            recovery: self.recovery,
+            churn: self.churn,
+            requeued: self.requeued,
+            recorder: Some(recorder),
+        }
+    }
+
+    /// Display name of the admission policy driving this RMS.
+    pub fn policy_name(&self) -> &str {
+        &self.policy_name
     }
 
     /// Churn degradation aggregates accumulated so far (all-zero on a
@@ -936,7 +1005,7 @@ impl<'p> ShardState<'p> {
     }
 
     /// The execution backend (for observability; mutation goes through
-    /// [`ShardState::submit`]/[`ShardState::advance`]).
+    /// [`ClusterRms::submit`]/[`ClusterRms::advance`]).
     pub fn backend(&self) -> &ExecutionBackend<'p> {
         &self.backend
     }
@@ -993,31 +1062,18 @@ impl<'p> ShardState<'p> {
             match e.kind {
                 FaultKind::NodeDown => {
                     self.churn.node_failures += 1;
+                    let mut failure = NodeFailure {
+                        at: e.at,
+                        node: e.node,
+                        recovery: self.recovery,
+                        churn: &mut self.churn,
+                        requeued: &mut self.requeued,
+                        events: &mut self.events,
+                    };
                     match &mut self.backend {
-                        ExecutionBackend::Proportional(b) => b.fail(
-                            e.at,
-                            e.node,
-                            self.recovery,
-                            &mut self.churn,
-                            &mut self.requeued,
-                            &mut self.events,
-                        ),
-                        ExecutionBackend::Queued(b) => b.fail(
-                            e.at,
-                            e.node,
-                            self.recovery,
-                            &mut self.churn,
-                            &mut self.requeued,
-                            &mut self.events,
-                        ),
-                        ExecutionBackend::Qops(b) => b.fail(
-                            e.at,
-                            e.node,
-                            self.recovery,
-                            &mut self.churn,
-                            &mut self.requeued,
-                            &mut self.events,
-                        ),
+                        ExecutionBackend::Proportional(b) => b.fail(&mut failure),
+                        ExecutionBackend::Queued(b) => b.fail(&mut failure),
+                        ExecutionBackend::Qops(b) => b.fail(&mut failure),
                     }
                 }
                 FaultKind::NodeUp => {
@@ -1225,195 +1281,6 @@ impl<'p> ShardState<'p> {
         self.record_span(from, to);
         self.events.drain(..)
     }
-}
-
-/// The online RMS facade: one submit/advance/drain state machine over any
-/// [`ExecutionBackend`]. A thin naming wrapper around [`ShardState`] —
-/// the state machine itself — so one `ClusterRms` is exactly one shard
-/// of a [`ShardedRms`](crate::router::ShardedRms).
-pub struct ClusterRms<'p> {
-    pub(crate) state: ShardState<'p>,
-    pub(crate) policy_name: String,
-}
-
-// A shard must be free-standing so the router can move it onto a scoped
-// worker thread. If a future field smuggles in a non-`Send` handle (an
-// `Rc`, a thread-bound cache, a non-`Send` trait object), this fails to
-// compile right here instead of surfacing as a distant router error.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ShardState<'static>>();
-    assert_send::<ClusterRms<'static>>();
-};
-
-impl<'p> ClusterRms<'p> {
-    /// A proportional-share RMS (Libra, LibraRisk, ablations) over the
-    /// given cluster and engine configuration.
-    pub fn proportional(
-        cluster: Cluster,
-        cfg: ProportionalConfig,
-        policy: impl ShareAdmission + Send + 'p,
-    ) -> Self {
-        let policy_name = policy.name();
-        ClusterRms {
-            state: ShardState::new(ExecutionBackend::Proportional(ProportionalBackend {
-                engine: ProportionalCluster::new(cluster, cfg),
-                policy: Box::new(policy),
-                seq_of: HashMap::new(),
-                completed_buf: Vec::new(),
-            })),
-            policy_name,
-        }
-    }
-
-    /// A space-shared queueing RMS (EDF, EDF-NoAC, FCFS, backfilling).
-    pub fn queued(cluster: Cluster, policy: QueuePolicy) -> Self {
-        ClusterRms {
-            policy_name: policy.name().to_string(),
-            state: ShardState::new(ExecutionBackend::Queued(QueuedBackend {
-                policy,
-                pool: SpaceSharedCluster::new(cluster),
-                queue: Vec::new(),
-                seq_of: HashMap::new(),
-            })),
-        }
-    }
-
-    /// A QoPS-style soft-deadline RMS.
-    ///
-    /// # Panics
-    /// Panics if `cfg.slack_factor < 1`.
-    pub fn qops(cluster: Cluster, cfg: QopsConfig) -> Self {
-        assert!(cfg.slack_factor >= 1.0, "slack factor must be ≥ 1");
-        ClusterRms {
-            policy_name: format!("QoPS(sf={})", cfg.slack_factor),
-            state: ShardState::new(ExecutionBackend::Qops(QopsBackend {
-                cfg,
-                pool: SpaceSharedCluster::new(cluster),
-                queue: Vec::new(),
-                running: Vec::new(),
-                seq_of: HashMap::new(),
-            })),
-        }
-    }
-
-    /// Overrides the policy name used in reports.
-    pub fn with_policy_name(mut self, name: impl Into<String>) -> Self {
-        self.policy_name = name.into();
-        self
-    }
-
-    /// Installs a node-churn plan and the recovery policy for displaced
-    /// jobs. Fault events apply as time advances, each *before* any job
-    /// arrival at the same instant; an empty plan leaves the RMS bitwise
-    /// identical to one built without this call.
-    pub fn with_faults(mut self, plan: FaultPlan, recovery: RecoveryPolicy) -> Self {
-        self.state.plan = plan;
-        self.state.recovery = recovery;
-        self
-    }
-
-    /// Attaches a recorder observing every submission, decision, fault
-    /// and resolution. The recorder is borrowed, so the caller keeps
-    /// ownership and can export the trace after the run. Recording is
-    /// behaviourally inert: outcomes are bitwise identical with any
-    /// recorder (or none), and a disabled recorder costs one branch per
-    /// hook site. The recorder must be `Send` so the shard can follow
-    /// its RMS onto a router worker thread.
-    ///
-    /// Returns the facade re-parameterised at the recorder's lifetime
-    /// (`ClusterRms` is invariant over `'p` because of the `&mut`
-    /// recorder slot, so a `ClusterRms<'static>` from
-    /// [`PolicyKind::rms`](crate::policy::PolicyKind::rms) could
-    /// otherwise never borrow a stack-local recorder).
-    pub fn with_recorder<'r>(self, recorder: &'r mut (dyn Recorder + Send + 'r)) -> ClusterRms<'r>
-    where
-        'p: 'r,
-    {
-        ClusterRms {
-            state: ShardState {
-                backend: self.state.backend,
-                now: self.state.now,
-                next_seq: self.state.next_seq,
-                events: self.state.events,
-                plan: self.state.plan,
-                recovery: self.state.recovery,
-                churn: self.state.churn,
-                requeued: self.state.requeued,
-                recorder: Some(recorder),
-            },
-            policy_name: self.policy_name,
-        }
-    }
-
-    /// Display name of the admission policy driving this RMS.
-    pub fn policy_name(&self) -> &str {
-        &self.policy_name
-    }
-
-    /// Churn degradation aggregates accumulated so far (all-zero on a
-    /// fault-free run). Complete after [`ClusterRms::drain`].
-    pub fn churn(&self) -> &ChurnStats {
-        self.state.churn()
-    }
-
-    /// The recovery policy applied to jobs displaced by node failures.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.state.recovery()
-    }
-
-    /// The execution backend (for observability; mutation goes through
-    /// [`ClusterRms::submit`]/[`ClusterRms::advance`]).
-    pub fn backend(&self) -> &ExecutionBackend<'p> {
-        self.state.backend()
-    }
-
-    /// Latest instant the facade has observed (last submit/advance).
-    pub fn now(&self) -> SimTime {
-        self.state.now()
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.state.submitted()
-    }
-
-    /// Jobs currently resident, running, or waiting in a queue.
-    pub fn in_flight(&self) -> usize {
-        self.state.in_flight()
-    }
-
-    /// Mean processor utilisation up to the last processed instant
-    /// (meaningful after [`ClusterRms::drain`]).
-    pub fn utilization(&self) -> f64 {
-        self.state.utilization()
-    }
-
-    /// Presents one arrival at its submission instant and returns the
-    /// irrevocable decision (see [`ShardState::submit`] for the full
-    /// contract).
-    ///
-    /// # Panics
-    /// Panics if `now` precedes an earlier submission or advance.
-    pub fn submit(&mut self, job: Job, now: SimTime) -> Decision {
-        self.state.submit(job, now)
-    }
-
-    /// Advances virtual time to `to` and streams every job outcome that
-    /// resolved (see [`ShardState::advance`] for the equivalence
-    /// contract).
-    ///
-    /// # Panics
-    /// Panics if `to` precedes an earlier submission or advance.
-    pub fn advance(&mut self, to: SimTime) -> impl Iterator<Item = JobEvent> + '_ {
-        self.state.advance(to)
-    }
-
-    /// Runs the residual workload to completion and streams the remaining
-    /// outcomes. After `drain` every submitted job has resolved.
-    pub fn drain(&mut self) -> impl Iterator<Item = JobEvent> + '_ {
-        self.state.drain()
-    }
 
     /// Replays a full trace through [`drive_trace`] and assembles the
     /// classic batch [`SimulationReport`].
@@ -1421,7 +1288,7 @@ impl<'p> ClusterRms<'p> {
         let mut sink = ReportCollector::new();
         drive_trace(&mut self, trace, &mut sink);
         let mut report = sink.into_report(self.policy_name.clone(), self.utilization());
-        report.churn = self.state.churn;
+        report.churn = self.churn;
         report
     }
 }
