@@ -26,8 +26,11 @@ echo "== differential: shard router (release) =="
 # fulfilled=1563 bench-golden pin, N-shard union-of-independent-runs
 # under churn, aggregate merge laws) also re-run in release mode: the
 # fan-out/merge path is threaded, and optimisation must not perturb the
-# merged stream either.
+# merged stream either. The router's own unit tests (same-instant merge
+# order, panic containment on a worker and on the caller's thread) run
+# optimised here too.
 cargo test --release -q -p librisk --test sharded_rms
+cargo test --release -q -p librisk --lib router::
 
 echo "== differential: checkpoint/restore + corruption (release) =="
 # The crash-safety gates (checkpoint-at-random-instant bitwise resume

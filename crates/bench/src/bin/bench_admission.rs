@@ -446,47 +446,6 @@ fn sharded_driver_cell(shards: usize, total_jobs: u64, wl: &TiledWorkload) -> (f
     (total_jobs as f64 / secs, p99, sink.fulfilled())
 }
 
-/// A short profiler-enabled replay of one sharded cell, reporting the
-/// p99 producer-side mailbox backpressure wait (ns) and the number of
-/// depth observations. 1-shard cells route inline without mailboxes, so
-/// both come back 0 there. Runs outside the timed cell so the committed
-/// throughput numbers stay profiler-free.
-fn sharded_mailbox_probe(shards: usize, total_jobs: u64, wl: &TiledWorkload) -> (f64, u64) {
-    obs::phase::reset();
-    obs::phase::set_enabled(true);
-    let nodes = Cluster::sdsc_sp2().len() / shards;
-    let sub_cluster = Cluster::homogeneous(nodes.max(1), 168.0);
-    let mut router = ShardedRms::new(
-        (0..shards)
-            .map(|_| PolicyKind::LibraRisk.rms(&sub_cluster))
-            .collect(),
-        RouteBy::JobHash,
-    )
-    .expect("bench ladder never builds an empty router");
-    let mut sink = OnlineReport::new();
-    let base_len = wl.base_len();
-    for i in 0..total_jobs {
-        let job = wl.job(i);
-        let now = job.submit;
-        black_box(router.submit(job, now));
-        if (i + 1) % base_len == 0 {
-            router
-                .advance_with(now, |e| sink.record(e.seq, e.record))
-                .expect("no shard panics in the mailbox probe");
-        }
-    }
-    router
-        .drain_with(|e| sink.record(e.seq, e.record))
-        .expect("no shard panics in the mailbox probe");
-    obs::phase::set_enabled(false);
-    let snap = obs::phase::snapshot();
-    obs::phase::reset();
-    (
-        snap.quantile_ns(obs::phase::Phase::MailboxSendWait, 0.99),
-        snap.mailbox_depth_count(),
-    )
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let decisions: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(10_000);
@@ -568,23 +527,13 @@ fn main() {
     // run's job count.
     let wl = TiledWorkload::new((sharded_jobs / 64).clamp(250, 100_000) as usize);
     let mut sharded_cells = Vec::new();
-    // The mailbox probe replays a short profiler-enabled slice per cell
-    // (outside the timed run) to read backpressure waits off the phase
-    // histograms.
-    let probe_jobs = sharded_jobs.min(wl.base_len() * 16);
     for shards in [1usize, 4, 16, 64] {
         eprintln!("sharded driver: {shards} shard(s), {sharded_jobs} jobs");
         let (jps, p99, fulfilled) = sharded_driver_cell(shards, sharded_jobs, &wl);
-        let (wait_p99, depth_obs) = sharded_mailbox_probe(shards, probe_jobs, &wl);
-        eprintln!(
-            "    {jps:.0} jobs/sec aggregate, p99 submit {p99:.0} ns, {fulfilled} fulfilled, \
-             p99 mailbox send wait {wait_p99:.0} ns ({depth_obs} depth obs)"
-        );
+        eprintln!("    {jps:.0} jobs/sec aggregate, p99 submit {p99:.0} ns, {fulfilled} fulfilled");
         sharded_cells.push(format!(
             "    {{ \"shards\": {shards}, \"jobs_per_sec\": {jps:.0}, \
-             \"p99_submit_ns\": {p99:.0}, \"fulfilled\": {fulfilled}, \
-             \"p99_mailbox_send_wait_ns\": {wait_p99:.0}, \
-             \"mailbox_depth_observations\": {depth_obs} }}"
+             \"p99_submit_ns\": {p99:.0}, \"fulfilled\": {fulfilled} }}"
         ));
     }
 

@@ -336,8 +336,8 @@ impl ProjectionWorkspace {
     }
 
     /// Clears and returns the staging buffer, for callers that need to
-    /// assemble a job list without allocating one. Fill it, then call
-    /// [`Self::node_risk_staged`] (or [`Self::staged_finishes_into`]).
+    /// assemble a job list without allocating one; [`Self::staged`]
+    /// reads it back.
     pub fn stage(&mut self) -> &mut Vec<ProjectedJob> {
         self.jobs.clear();
         &mut self.jobs
@@ -360,12 +360,13 @@ impl ProjectionWorkspace {
         discipline: ShareDiscipline,
         finish: &mut Vec<f64>,
     ) {
-        projection_kernel(
+        projection_verdict_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
             None,
+            false,
             &mut self.rem,
             &mut self.alive,
             &mut self.shares,
@@ -405,54 +406,13 @@ impl ProjectionWorkspace {
             dds,
             ..
         } = self;
-        projection_kernel(
+        projection_verdict_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
             None,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-        summarize_into(jobs, finish, now, dds)
-    }
-
-    /// [`Self::node_risk_with`] over the staged job list.
-    pub fn node_risk_staged(
-        &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> (f64, f64) {
-        let s = self.node_risk_summary_staged(now, speed_factor, discipline);
-        (s.mu, s.sigma)
-    }
-
-    /// [`Self::node_risk_staged`] returning the full [`RiskSummary`].
-    pub fn node_risk_summary_staged(
-        &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-            dds,
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            None,
+            false,
             rem,
             alive,
             shares,
@@ -463,35 +423,17 @@ impl ProjectionWorkspace {
     }
 
     /// Delta-projection entry point for the admission hot path: evaluates
-    /// "node `base` + one hypothetical job" in a single call, warm-starting
-    /// from a node's cached base projection input instead of making the
-    /// caller re-assemble a job list.
+    /// "node `base` + one hypothetical job `extra`" in a single call.
+    /// `extra` is appended last — the same order
+    /// `ProportionalCluster::node_projection(node, Some(job))` produces.
     ///
-    /// `base` is the node's resident projection input (what decision
-    /// layers cache per node against the engine's epoch counter); `extra`
-    /// is the tentative candidate, appended last — the same order
-    /// `ProportionalCluster::node_projection(node, Some(job))` produces,
-    /// so the result is bitwise identical to the from-scratch path.
-    pub fn node_risk_delta(
-        &mut self,
-        base: &[ProjectedJob],
-        extra: ProjectedJob,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        let stage = self.stage();
-        stage.extend_from_slice(base);
-        stage.push(extra);
-        self.node_risk_summary_staged(now, speed_factor, discipline)
-    }
-
-    /// [`Self::node_risk_delta`] with a **shared-prefix warm start**: the
-    /// caller supplies the base jobs' first-segment shares and their
+    /// The projection takes a **shared-prefix warm start**: the caller
+    /// supplies the base jobs' first-segment shares and their
     /// left-to-right sum (from [`first_segment_shares`], computed once
     /// per node state), and the kernel's opening share pass runs only
-    /// for the appended candidate. Bitwise identical to the cold path —
-    /// the cached prefix replays the same float values and the same
+    /// for the appended candidate. Bitwise identical to
+    /// [`Self::node_risk_summary_with`] over `base` + `extra` — the
+    /// cached prefix replays the same float values and the same
     /// summation order.
     #[allow(clippy::too_many_arguments)]
     pub fn node_risk_delta_prefixed(
@@ -517,12 +459,13 @@ impl ProjectionWorkspace {
             finish,
             dds,
         } = self;
-        projection_kernel(
+        projection_verdict_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
             Some((base_shares, base_share_sum)),
+            false,
             rem,
             alive,
             shares,
@@ -572,6 +515,7 @@ impl ProjectionWorkspace {
             speed_factor,
             discipline,
             Some((base_shares, base_share_sum)),
+            true,
             rem,
             alive,
             shares,
@@ -607,12 +551,13 @@ impl ProjectionWorkspace {
             dds,
             ..
         } = self;
-        projection_kernel(
+        projection_verdict_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
             Some((first_shares, share_sum)),
+            false,
             rem,
             alive,
             shares,
@@ -621,42 +566,38 @@ impl ProjectionWorkspace {
         );
         summarize_into(jobs, finish, now, dds)
     }
-
-    /// [`Self::project_finishes_into`] over the staged job list.
-    pub fn staged_finishes_into(
-        &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-        finish: &mut Vec<f64>,
-    ) {
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            ..
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            None,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-    }
 }
 
-/// The piecewise-constant-rate projection over caller-owned buffers.
+/// Minimum separation between two projected deadline-delay values that
+/// certifies `σ_j` nonzero without finishing the projection.
 ///
-/// Scratch buffers (`rem`, `alive`, `shares`) and the output (`finish`)
-/// are cleared and refilled; their capacity is reused across calls.
+/// Soundness: a population of `n` values containing two entries that
+/// differ by `g` has variance at least `g²/(2n)` (both entries deviate
+/// from any mean by a combined squared distance of `g²/2`), so
+/// `σ ≥ g/√(2n)`. With `g = 1e-5` and `n ≤` [`VERDICT_BAIL_MAX_JOBS`],
+/// that floor is `≥ 1.1e-7` — two orders of magnitude above
+/// [`SIGMA_ZERO`] — and it holds for the *reference* kernel's σ as well:
+/// the deadline-delays the bail-out compares are bitwise the values the
+/// full run would feed into [`RiskSummary::from_dds`] (the early exit
+/// changes which operations are skipped, never the ones performed), and
+/// the reference's computed σ can undercut the mathematical floor only
+/// by summation-cancellation noise of a few ulp of 1.0 (~1e-15 in the
+/// variance), far below `g²/(2n) ≥ 1.2e-14`. A certified-risky node is
+/// therefore unsuitable under every decision variant, exactly as the
+/// finished projection would have concluded.
+pub const VERDICT_BAIL_GAP: f64 = 1e-5;
+
+/// Job-count ceiling for the early bail-out: past this, the
+/// `g²/(2n)` variance floor approaches summation-noise scale, so the
+/// kernel just runs to completion (exactness over speed).
+pub const VERDICT_BAIL_MAX_JOBS: usize = 4096;
+
+/// The piecewise-constant-rate projection over caller-owned buffers —
+/// the one kernel behind every [`ProjectionWorkspace`] entry point.
+///
+/// Scratch buffers (`rem`, `alive`, `shares`, `rates`) and the output
+/// (`finish`) are cleared and refilled; their capacity is reused across
+/// calls.
 ///
 /// `warm` optionally carries precomputed first-segment shares for a
 /// *prefix* of `jobs` together with their left-to-right sum (what
@@ -664,25 +605,45 @@ impl ProjectionWorkspace {
 /// `now`): the opening share pass then starts from the cached sum and
 /// computes shares only for the suffix — the same float operations in
 /// the same order, so the warm start is bitwise-neutral.
+///
+/// With `bail` set (the admission *verdict* path) the kernel stops —
+/// returning `true` — as soon as the partial projection certifies
+/// `σ_j ≥` a sound floor far above [`SIGMA_ZERO`] (see
+/// [`VERDICT_BAIL_GAP`]). Two separation witnesses are tracked on the
+/// way:
+///
+/// - a *finished* job's deadline-delay is exact (its remaining segments
+///   cannot move a finish time already emitted), and
+/// - a job still alive past its deadline has `dd ≥ (t − dl + rd)/rd`
+///   (its finish can only be later than the current segment start).
+///
+/// A positive gap between the smallest exact delay and the largest
+/// lower bound always involves two distinct jobs (any one job's bound
+/// never exceeds its own exact value), which is what the variance floor
+/// needs. The witnesses only read values the projection computes anyway,
+/// so the float work is identical with and without `bail`. Returns
+/// `false` when the projection ran to completion — always, without
+/// `bail` — and `finish` then holds every projected finish.
 #[allow(clippy::too_many_arguments)]
-fn projection_kernel(
+fn projection_verdict_kernel(
     jobs: &[ProjectedJob],
     now: f64,
     speed_factor: f64,
     discipline: ShareDiscipline,
     warm: Option<(&[f64], f64)>,
+    bail: bool,
     rem: &mut Vec<f64>,
     alive: &mut Vec<bool>,
     shares: &mut Vec<f64>,
     rates: &mut Vec<f64>,
     finish: &mut Vec<f64>,
-) {
+) -> bool {
     assert!(speed_factor > 0.0);
     let n = jobs.len();
     finish.clear();
     finish.resize(n, 0.0);
     if n == 0 {
-        return;
+        return false;
     }
     rem.clear();
     rem.extend(jobs.iter().map(|j| j.remaining_est.max(EPS_WORK)));
@@ -698,6 +659,11 @@ fn projection_kernel(
     let (jobs, rem) = (&jobs[..n], &mut rem[..n]);
     let (alive, shares, rates) = (&mut alive[..n], &mut shares[..n], &mut rates[..n]);
     let strict = matches!(discipline, ShareDiscipline::Strict);
+    let bail = bail && n <= VERDICT_BAIL_MAX_JOBS;
+    // Smallest exact deadline-delay among finished jobs / largest lower
+    // bound over any job's eventual delay.
+    let mut min_fin = f64::INFINITY;
+    let mut max_low = f64::NEG_INFINITY;
     let mut alive_count = n;
     let mut t = now;
     // Shares for the first segment; later segments refresh theirs inside
@@ -733,8 +699,7 @@ fn projection_kernel(
         // Rates are fixed per segment; the segment length is the first
         // completion or first deadline crossing. One fused pass: each
         // rate is computed once and fed into the running `dt` minimum in
-        // the same ascending-index order the split loops used, so every
-        // comparison sees identical values.
+        // ascending-index order.
         let mut dt = f64::INFINITY;
         for i in 0..n {
             if !alive[i] {
@@ -744,162 +709,7 @@ fn projection_kernel(
             rates[i] = r;
             // A share can underflow to zero (tiny remaining work against
             // an astronomically inflated co-resident share); such a job
-            // contributes no completion candidate — `min(x, ∞)` is `x`,
-            // so skipping is bitwise-neutral when rates are positive.
-            if r > 0.0 {
-                dt = dt.min(rem[i] / r);
-            }
-            let to_deadline = jobs[i].abs_deadline - t;
-            if to_deadline > EPS_WORK {
-                dt = dt.min(to_deadline);
-            }
-        }
-        if !(dt.is_finite() && dt > 0.0) {
-            // Every surviving job is rate-starved with no deadline
-            // crossing ahead: nothing will ever complete. Stop and let
-            // the fallback below pin survivors at the current time.
-            break;
-        }
-        // Advance the segment, refreshing each survivor's share for the
-        // next segment in the same ascending-index walk: the share values
-        // and the `total_share` summation order are exactly those the
-        // standalone share pass produced.
-        let t_next = t + dt;
-        total_share = 0.0;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            rem[i] -= rates[i] * dt;
-            if rem[i] <= EPS_WORK {
-                alive[i] = false;
-                alive_count -= 1;
-                finish[i] = t_next;
-            } else {
-                let rd = (jobs[i].abs_deadline - t_next).max(EPS_DEADLINE);
-                shares[i] = rem[i] / rd;
-                total_share += shares[i];
-            }
-        }
-        t = t_next;
-    }
-    // Pathological fuzz fallback: finish whatever survived "now".
-    for i in 0..n {
-        if alive[i] {
-            finish[i] = t;
-        }
-    }
-}
-
-/// Minimum separation between two projected deadline-delay values that
-/// certifies `σ_j` nonzero without finishing the projection.
-///
-/// Soundness: a population of `n` values containing two entries that
-/// differ by `g` has variance at least `g²/(2n)` (both entries deviate
-/// from any mean by a combined squared distance of `g²/2`), so
-/// `σ ≥ g/√(2n)`. With `g = 1e-5` and `n ≤` [`VERDICT_BAIL_MAX_JOBS`],
-/// that floor is `≥ 1.1e-7` — two orders of magnitude above
-/// [`SIGMA_ZERO`] — and it holds for the *reference* kernel's σ as well:
-/// the deadline-delays the bail-out compares are bitwise the values the
-/// full run would feed into [`RiskSummary::from_dds`] (the early exit
-/// changes which operations are skipped, never the ones performed), and
-/// the reference's computed σ can undercut the mathematical floor only
-/// by summation-cancellation noise of a few ulp of 1.0 (~1e-15 in the
-/// variance), far below `g²/(2n) ≥ 1.2e-14`. A certified-risky node is
-/// therefore unsuitable under every decision variant, exactly as the
-/// finished projection would have concluded.
-pub const VERDICT_BAIL_GAP: f64 = 1e-5;
-
-/// Job-count ceiling for the early bail-out: past this, the
-/// `g²/(2n)` variance floor approaches summation-noise scale, so the
-/// kernel just runs to completion (exactness over speed).
-pub const VERDICT_BAIL_MAX_JOBS: usize = 4096;
-
-/// [`projection_kernel`] specialised for admission *verdicts*: identical
-/// float work in identical order, but it stops — returning `true` — as
-/// soon as the partial projection certifies `σ_j ≥` a sound floor far
-/// above [`SIGMA_ZERO`] (see [`VERDICT_BAIL_GAP`]). Two separation
-/// witnesses are tracked on the way:
-///
-/// - a *finished* job's deadline-delay is exact (its remaining segments
-///   cannot move a finish time already emitted), and
-/// - a job still alive past its deadline has `dd ≥ (t − dl + rd)/rd`
-///   (its finish can only be later than the current segment start).
-///
-/// A positive gap between the smallest exact delay and the largest
-/// lower bound always involves two distinct jobs (any one job's bound
-/// never exceeds its own exact value), which is what the variance floor
-/// needs. Returns `false` when the projection ran to completion, in
-/// which case `finish` holds exactly what [`projection_kernel`] would
-/// have produced.
-#[allow(clippy::too_many_arguments)]
-fn projection_verdict_kernel(
-    jobs: &[ProjectedJob],
-    now: f64,
-    speed_factor: f64,
-    discipline: ShareDiscipline,
-    warm: Option<(&[f64], f64)>,
-    rem: &mut Vec<f64>,
-    alive: &mut Vec<bool>,
-    shares: &mut Vec<f64>,
-    rates: &mut Vec<f64>,
-    finish: &mut Vec<f64>,
-) -> bool {
-    assert!(speed_factor > 0.0);
-    let n = jobs.len();
-    finish.clear();
-    finish.resize(n, 0.0);
-    if n == 0 {
-        return false;
-    }
-    rem.clear();
-    rem.extend(jobs.iter().map(|j| j.remaining_est.max(EPS_WORK)));
-    alive.clear();
-    alive.resize(n, true);
-    shares.clear();
-    shares.resize(n, 0.0);
-    rates.clear();
-    rates.resize(n, 0.0);
-    let (jobs, rem) = (&jobs[..n], &mut rem[..n]);
-    let (alive, shares, rates) = (&mut alive[..n], &mut shares[..n], &mut rates[..n]);
-    let strict = matches!(discipline, ShareDiscipline::Strict);
-    let bail = n <= VERDICT_BAIL_MAX_JOBS;
-    // Smallest exact deadline-delay among finished jobs / largest lower
-    // bound over any job's eventual delay.
-    let mut min_fin = f64::INFINITY;
-    let mut max_low = f64::NEG_INFINITY;
-    let mut alive_count = n;
-    let mut t = now;
-    let mut total_share = 0.0;
-    let mut first = 0;
-    if let Some((pre, pre_sum)) = warm {
-        debug_assert!(pre.len() <= n, "warm prefix longer than the job list");
-        first = pre.len().min(n);
-        shares[..first].copy_from_slice(&pre[..first]);
-        total_share = pre_sum;
-    }
-    for i in first..n {
-        let rd = (jobs[i].abs_deadline - t).max(EPS_DEADLINE);
-        shares[i] = rem[i] / rd;
-        total_share += shares[i];
-    }
-    let max_steps = 2 * n + 8;
-    for _ in 0..max_steps {
-        if alive_count == 0 {
-            break;
-        }
-        let denom = if strict {
-            total_share.max(1.0)
-        } else {
-            total_share
-        };
-        let mut dt = f64::INFINITY;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            let r = shares[i] / denom * speed_factor;
-            rates[i] = r;
+            // contributes no completion candidate.
             if r > 0.0 {
                 dt = dt.min(rem[i] / r);
             }
@@ -921,8 +731,13 @@ fn projection_verdict_kernel(
             }
         }
         if !(dt.is_finite() && dt > 0.0) {
+            // Every surviving job is rate-starved with no deadline
+            // crossing ahead: nothing will ever complete. Stop and let
+            // the fallback below pin survivors at the current time.
             break;
         }
+        // Advance the segment, refreshing each survivor's share for the
+        // next segment in the same ascending-index walk.
         let t_next = t + dt;
         total_share = 0.0;
         for i in 0..n {
@@ -956,6 +771,7 @@ fn projection_verdict_kernel(
         }
         t = t_next;
     }
+    // Pathological fuzz fallback: finish whatever survived "now".
     for i in 0..n {
         if alive[i] {
             finish[i] = t;
@@ -1331,23 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_path_matches_slice_path() {
-        let jobs = [pj(80.0, 90.0), pj(20.0, 400.0)];
-        let mut ws = ProjectionWorkspace::new();
-        ws.stage().extend_from_slice(&jobs);
-        let staged = ws.node_risk_staged(3.0, 2.0, ShareDiscipline::WorkConserving);
-        let direct = node_risk(&jobs, 3.0, 2.0, ShareDiscipline::WorkConserving);
-        assert_eq!(staged.0.to_bits(), direct.0.to_bits());
-        assert_eq!(staged.1.to_bits(), direct.1.to_bits());
-
-        ws.stage().extend_from_slice(&jobs);
-        let mut a = Vec::new();
-        ws.staged_finishes_into(3.0, 2.0, ShareDiscipline::WorkConserving, &mut a);
-        let b = project_finishes(&jobs, 3.0, 2.0, ShareDiscipline::WorkConserving);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn risk_summary_matches_risk_bitwise() {
         let cases: Vec<Vec<f64>> = vec![
             vec![],
@@ -1372,9 +1171,11 @@ mod tests {
         let base = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)];
         let extra = pj(55.0, 250.0);
         let mut ws = ProjectionWorkspace::new();
+        let mut shares = Vec::new();
         for disc in [ShareDiscipline::Strict, ShareDiscipline::WorkConserving] {
             for now in [0.0, 17.25] {
-                let delta = ws.node_risk_delta(&base, extra, now, 1.5, disc);
+                let sum = first_segment_shares(&base, now, &mut shares);
+                let delta = ws.node_risk_delta_prefixed(&base, &shares, sum, extra, now, 1.5, disc);
                 let mut all = base.to_vec();
                 all.push(extra);
                 let direct = node_risk(&all, now, 1.5, disc);
@@ -1383,7 +1184,16 @@ mod tests {
             }
         }
         // Empty base: delta over [] + extra equals the single-job node.
-        let delta = ws.node_risk_delta(&[], extra, 0.0, 1.0, ShareDiscipline::Strict);
+        let sum = first_segment_shares(&[], 0.0, &mut shares);
+        let delta = ws.node_risk_delta_prefixed(
+            &[],
+            &shares,
+            sum,
+            extra,
+            0.0,
+            1.0,
+            ShareDiscipline::Strict,
+        );
         let direct = node_risk(&[extra], 0.0, 1.0, ShareDiscipline::Strict);
         assert_eq!(delta.mu.to_bits(), direct.0.to_bits());
         assert_eq!(delta.sigma.to_bits(), direct.1.to_bits());
@@ -1433,35 +1243,50 @@ mod tests {
 
     #[test]
     fn prefixed_paths_match_cold_paths_bitwise() {
-        let base = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)];
+        // An overloaded node with unequal deadlines (risky, so the verdict
+        // kernel may bail), a light one (zero risk), and an empty one.
+        let bases: [&[ProjectedJob]; 3] = [
+            &[pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)],
+            &[pj(10.0, 400.0), pj(5.0, 300.0)],
+            &[],
+        ];
         let extra = pj(55.0, 250.0);
         let mut ws = ProjectionWorkspace::new();
         let mut shares = Vec::new();
-        for disc in [ShareDiscipline::Strict, ShareDiscipline::WorkConserving] {
-            for now in [0.0, 17.25] {
-                let sum = first_segment_shares(&base, now, &mut shares);
-                let warm = ws.node_risk_delta_prefixed(&base, &shares, sum, extra, now, 1.5, disc);
-                let cold = ws.node_risk_delta(&base, extra, now, 1.5, disc);
-                assert!(warm.bits_eq(&cold), "{disc:?} now {now}");
-                let warm_base = ws.node_risk_summary_prefixed(&base, &shares, sum, now, 1.5, disc);
-                let cold_base = ws.node_risk_summary_with(&base, now, 1.5, disc);
-                assert!(warm_base.bits_eq(&cold_base), "{disc:?} now {now}");
+        let (mut verdicts, mut bails) = (0, 0);
+        for base in bases {
+            let mut all = base.to_vec();
+            all.push(extra);
+            for disc in [ShareDiscipline::Strict, ShareDiscipline::WorkConserving] {
+                for now in [0.0, 17.25] {
+                    let sum = first_segment_shares(base, now, &mut shares);
+                    let cold = ws.node_risk_summary_with(&all, now, 1.5, disc);
+                    let warm =
+                        ws.node_risk_delta_prefixed(base, &shares, sum, extra, now, 1.5, disc);
+                    assert!(warm.bits_eq(&cold), "{base:?} {disc:?} now {now}");
+                    // The verdict kernel returns the exact summary, or
+                    // bails only where the exact σ is nonzero.
+                    match ws.node_risk_verdict_prefixed(base, &shares, sum, extra, now, 1.5, disc) {
+                        Some(v) => {
+                            assert!(v.bits_eq(&cold), "{base:?} {disc:?} now {now}");
+                            verdicts += 1;
+                        }
+                        None => {
+                            assert!(!is_zero_risk(cold.sigma), "{base:?} {disc:?} now {now}");
+                            bails += 1;
+                        }
+                    }
+                    let warm_base =
+                        ws.node_risk_summary_prefixed(base, &shares, sum, now, 1.5, disc);
+                    let cold_base = ws.node_risk_summary_with(base, now, 1.5, disc);
+                    assert!(warm_base.bits_eq(&cold_base), "{base:?} {disc:?} now {now}");
+                }
             }
         }
-        // Empty base: the warm prefix is empty and the candidate's share
-        // is computed in-kernel.
-        let sum = first_segment_shares(&[], 0.0, &mut shares);
-        let warm = ws.node_risk_delta_prefixed(
-            &[],
-            &shares,
-            sum,
-            extra,
-            0.0,
-            1.0,
-            ShareDiscipline::WorkConserving,
+        assert!(
+            verdicts > 0 && bails > 0,
+            "{verdicts} verdicts, {bails} bails"
         );
-        let cold = ws.node_risk_delta(&[], extra, 0.0, 1.0, ShareDiscipline::WorkConserving);
-        assert!(warm.bits_eq(&cold));
     }
 
     #[test]
@@ -1497,19 +1322,13 @@ mod tests {
             let min_dl = min_abs_deadline(&jobs);
             if screens_zero_risk(ShareDiscipline::WorkConserving, 1.0, sum, min_dl, cand, now) {
                 fired += 1;
-                let s = ws.node_risk_delta(&jobs, cand, now, 1.0, ShareDiscipline::WorkConserving);
+                let mut all = jobs.clone();
+                all.push(cand);
+                let s = ws.node_risk_summary_with(&all, now, 1.0, ShareDiscipline::WorkConserving);
                 assert_eq!(s.sigma.to_bits(), 0.0f64.to_bits(), "case {i}: {jobs:?}");
                 assert_eq!(s.mu.to_bits(), 1.0f64.to_bits(), "case {i}");
-                let (mu1, sig1) = node_risk_single_segment(
-                    &{
-                        let mut all = jobs.clone();
-                        all.push(cand);
-                        all
-                    },
-                    now,
-                    1.0,
-                    ShareDiscipline::WorkConserving,
-                );
+                let (mu1, sig1) =
+                    node_risk_single_segment(&all, now, 1.0, ShareDiscipline::WorkConserving);
                 assert_eq!(sig1.to_bits(), 0.0f64.to_bits(), "case {i} (naive)");
                 assert_eq!(mu1.to_bits(), 1.0f64.to_bits(), "case {i} (naive)");
             }

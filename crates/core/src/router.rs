@@ -7,12 +7,12 @@
 //! shards — each a full [`ClusterRms`] over its own slice of the
 //! machine — routes every arrival to exactly one shard
 //! ([`RouteBy::JobHash`], [`RouteBy::LeastLoaded`] or
-//! [`RouteBy::RoundRobin`]), and fans `advance`/`drain` out to one
-//! scoped worker thread per shard. Each worker streams its resolved
-//! [`JobEvent`]s through a bounded SPSC mailbox; the caller's thread
-//! runs a barrier-free k-way merge that emits the union of all shard
-//! streams in resolution-timestamp order, with every `seq` remapped to
-//! the router-wide submission order.
+//! [`RouteBy::RoundRobin`]), and fans `advance`/`drain` out: shards
+//! 1..N each run on a scoped thread and shard 0 on the caller's thread.
+//! Each shard collects its resolved [`JobEvent`]s, with every `seq`
+//! remapped to the router-wide submission order, into a buffer the
+//! router keeps between calls. After the join, one k-way merge emits
+//! the union of the buffers in resolution-timestamp order.
 //!
 //! # Why sharding preserves the paper's semantics
 //!
@@ -27,41 +27,40 @@
 //! `tests/sharded_rms.rs`, and a 1-shard router reproduces the plain
 //! facade bitwise).
 //!
-//! # Mailbox protocol
+//! # Why buffers, not streams
 //!
-//! Each worker owns the producer side of one bounded SPSC mailbox and
-//! the caller's thread owns all consumer sides. Events travel in
-//! chunks (`CHUNK` events per send) so producer and consumer exchange
-//! one lock + condvar signal per few hundred events rather than per
-//! event. A worker closes its mailbox after its last chunk; the merge
-//! terminates when every mailbox is closed and drained. The merge is
-//! barrier-free: the caller starts emitting as soon as the earliest
-//! head is known, while other shards are still working.
+//! A shard's [`ClusterRms::advance`] resolves its whole burst before it
+//! yields the first event, so streaming the events out while other
+//! shards still work could neither start earlier nor hold less memory
+//! than buffering them. Buffering lets the merge run once, after the
+//! join, with no locks; a 1-shard router spawns no thread at all.
 
 use crate::report::ChurnStats;
 use crate::rms::{ClusterRms, Decision, JobEvent};
 use sim::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
 use workload::{Job, JobId};
 
 /// A structured router failure: construction without shards, or a shard
-/// worker that panicked mid-fan-out. The second case is the router's
-/// crash containment — a poisoned shard degrades into an error on the
-/// caller's thread instead of cascading a panic through the mailbox
-/// locks and aborting the merge.
+/// that panicked mid-fan-out. The second case is the router's crash
+/// containment — a panicking shard degrades into an error on the
+/// caller's thread instead of unwinding through the fan-out and losing
+/// the other shards' events.
 #[derive(Debug)]
 pub enum RouterError {
     /// [`ShardedRms::new`] was given an empty shard vector.
     NoShards,
-    /// A shard worker panicked during `advance`/`drain`. Events merged
-    /// before the failure were already emitted; the named shard's state
-    /// must be considered corrupt (rebuild or restore it from a
-    /// checkpoint before further use).
+    /// A shard panicked during `advance`/`drain` — on its scoped thread
+    /// or, for shard 0, on the caller's thread. Returned after the merge:
+    /// every other shard's events, and whatever the failed shard
+    /// buffered before its panic, were already emitted. The named
+    /// shard's state must be considered corrupt (rebuild or restore it
+    /// from a checkpoint before further use). If several shards panic,
+    /// the lowest index is reported.
     ShardPanicked {
-        /// Index of the shard whose worker panicked.
+        /// Index of the shard that panicked.
         shard: usize,
         /// The panic payload, when it was a string.
         message: String,
@@ -80,15 +79,6 @@ impl std::fmt::Display for RouterError {
 }
 
 impl std::error::Error for RouterError {}
-
-/// Events per mailbox send: large enough to amortise the lock + condvar
-/// handshake, small enough to keep the merge streaming.
-const CHUNK: usize = 256;
-
-/// Mailbox capacity in chunks. Bounds the memory of a fast producer
-/// ahead of a slow consumer at `MAILBOX_CAP * CHUNK` buffered events
-/// per shard.
-const MAILBOX_CAP: usize = 8;
 
 /// How the router places an arrival onto a shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,105 +104,21 @@ pub fn job_hash_shard(id: JobId, shards: usize) -> usize {
     ((id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
 }
 
-/// Bounded SPSC mailbox carrying chunks of events from one shard worker
-/// to the merging caller thread.
-struct Mailbox<T> {
-    inner: Mutex<MailboxInner<T>>,
-    /// Signalled when a chunk arrives or the box closes (consumer waits).
-    recv_cv: Condvar,
-    /// Signalled when a chunk leaves (producer waits while full).
-    send_cv: Condvar,
-}
-
-struct MailboxInner<T> {
-    chunks: VecDeque<Vec<T>>,
-    closed: bool,
-}
-
-impl<T> Mailbox<T> {
-    fn new() -> Self {
-        Mailbox {
-            inner: Mutex::new(MailboxInner {
-                chunks: VecDeque::new(),
-                closed: false,
-            }),
-            recv_cv: Condvar::new(),
-            send_cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueues one chunk, blocking while the box is full. Lock
-    /// poisoning is recovered, not propagated: the mailbox holds plain
-    /// data (chunks + a closed flag) that stays structurally valid at
-    /// every instant a panic could unwind through it, and recovering
-    /// here is what lets a panicking worker degrade into a
-    /// [`RouterError::ShardPanicked`] instead of poisoning every
-    /// sibling's send.
-    fn send(&self, chunk: Vec<T>) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.chunks.len() >= MAILBOX_CAP {
-            // Backpressure: the producer outran the merge. Timed only
-            // when it actually happens, so an uncontended send stays
-            // one enabled-check away from the uninstrumented path.
-            let _wait = obs::phase::span(obs::phase::Phase::MailboxSendWait);
-            while inner.chunks.len() >= MAILBOX_CAP {
-                inner = self
-                    .send_cv
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        inner.chunks.push_back(chunk);
-        obs::phase::observe_mailbox_depth(inner.chunks.len());
-        drop(inner);
-        self.recv_cv.notify_one();
-    }
-
-    /// Marks the producer side finished; `recv` drains what remains and
-    /// then reports the end of the stream.
-    fn close(&self) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.recv_cv.notify_one();
-    }
-
-    /// Dequeues the next chunk, blocking until one arrives; `None` once
-    /// the box is closed and drained.
-    fn recv(&self) -> Option<Vec<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(chunk) = inner.chunks.pop_front() {
-                drop(inner);
-                self.send_cv.notify_one();
-                return Some(chunk);
-            }
-            if inner.closed {
-                return None;
-            }
-            // Merge lag: the consumer is ahead of this shard's stream.
-            let _wait = obs::phase::span(obs::phase::Phase::MailboxRecvWait);
-            inner = self
-                .recv_cv
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
 /// N [`ClusterRms`] shards behind one online facade: route-on-submit,
 /// fan-out-and-merge on advance/drain. See the module docs for the
-/// protocol and the semantics argument.
+/// fan-out and the semantics argument.
 pub struct ShardedRms<'p> {
     pub(crate) shards: Vec<ClusterRms<'p>>,
     pub(crate) route: RouteBy,
     pub(crate) next_rr: usize,
     pub(crate) next_seq: u64,
     /// Per shard: local submission seq → router-wide submission seq.
-    /// Workers remap every streamed event through this table, so merged
+    /// Every resolved event is remapped through this table, so merged
     /// [`JobEvent::seq`] values are global submission order.
     pub(crate) global_of: Vec<Vec<u64>>,
+    /// Per shard: the events of the fan-out in progress, seqs already
+    /// global. Empty between calls; kept to reuse the capacity.
+    bufs: Vec<Vec<JobEvent>>,
     /// Churn aggregates inherited from shards that were retired by a
     /// shrinking reshard restore (see [`crate::ckpt::restore_sharded`]);
     /// folded into [`ShardedRms::churn`] so history survives the
@@ -235,6 +141,7 @@ impl<'p> ShardedRms<'p> {
             next_seq: 0,
             global_of: vec![Vec::new(); n],
             carried_churn: ChurnStats::default(),
+            bufs: vec![Vec::new(); n],
         })
     }
 
@@ -250,6 +157,7 @@ impl<'p> ShardedRms<'p> {
         carried_churn: ChurnStats,
     ) -> Self {
         debug_assert_eq!(shards.len(), global_of.len());
+        let bufs = vec![Vec::new(); shards.len()];
         ShardedRms {
             shards,
             route,
@@ -257,6 +165,7 @@ impl<'p> ShardedRms<'p> {
             next_seq,
             global_of,
             carried_churn,
+            bufs,
         }
     }
 
@@ -348,28 +257,34 @@ impl<'p> ShardedRms<'p> {
         (shard, self.shards[shard].submit(job, now))
     }
 
-    /// Advances every shard to `to` and returns the merged stream of
-    /// resolved outcomes, in resolution-timestamp order with global
-    /// submission-order `seq`s. See [`ShardedRms::advance_with`] for the
-    /// streaming form.
+    /// Advances every shard to `to` and returns the merged outcomes, in
+    /// resolution-timestamp order with global submission-order `seq`s.
+    /// See [`ShardedRms::advance_with`] for the callback form.
     ///
-    /// # Panics
-    /// Panics if `to` precedes an earlier submission or advance.
+    /// # Errors
+    /// [`RouterError::ShardPanicked`] if a shard panicked, which
+    /// includes a `to` that precedes an earlier submission or advance
+    /// (each shard asserts monotone time). The events of the other
+    /// shards are still returned through `advance_with`; this form
+    /// drops them with the error.
     pub fn advance(&mut self, to: SimTime) -> Result<Vec<JobEvent>, RouterError> {
         let mut out = Vec::new();
         self.advance_with(to, |e| out.push(e))?;
         Ok(out)
     }
 
-    /// Advances every shard to `to` on its own scoped worker thread and
-    /// streams the merged outcomes into `emit` as they become available
-    /// (barrier-free: the earliest events flow while later shards still
-    /// work). `emit` runs on the caller's thread.
+    /// Advances every shard to `to` — shards 1..N on scoped threads,
+    /// shard 0 on the caller's thread — and, after they all finish,
+    /// passes the merged outcomes to `emit` on the caller's thread.
     ///
-    /// A panicking shard worker does not abort the fan-out: its mailbox
-    /// closes, the surviving shards finish their advance and stream
-    /// their events, and the first failure comes back as
-    /// [`RouterError::ShardPanicked`] after the merge completes.
+    /// # Errors
+    /// A panicking shard does not abort the fan-out: the other shards
+    /// finish their advance, every buffered event is emitted, and then
+    /// the first failure comes back as [`RouterError::ShardPanicked`].
+    /// A `to` that precedes an earlier submission or advance trips the
+    /// monotone-time assertion of each shard that saw that instant, so
+    /// it returns this error too (`shard: 0` after a router-wide
+    /// advance).
     pub fn advance_with(
         &mut self,
         to: SimTime,
@@ -380,91 +295,81 @@ impl<'p> ShardedRms<'p> {
 
     /// Drains every shard to completion and returns the merged residual
     /// outcomes (see [`ShardedRms::advance`] for ordering).
+    ///
+    /// # Errors
+    /// [`RouterError::ShardPanicked`] if a shard panicked (see
+    /// [`ShardedRms::advance_with`]).
     pub fn drain(&mut self) -> Result<Vec<JobEvent>, RouterError> {
         let mut out = Vec::new();
         self.drain_with(|e| out.push(e))?;
         Ok(out)
     }
 
-    /// Streaming form of [`ShardedRms::drain`] (see
+    /// Callback form of [`ShardedRms::drain`] (see
     /// [`ShardedRms::advance_with`] for the failure contract).
     pub fn drain_with(&mut self, emit: impl FnMut(JobEvent)) -> Result<(), RouterError> {
         self.fan_out(None, emit)
     }
 
-    /// Fans one advance (`Some(to)`) or drain (`None`) out to the
-    /// shards and merges the streams. A single shard short-circuits to
-    /// an inline pass — no thread, no mailbox — which keeps the 1-shard
-    /// router on the plain facade's perf envelope and makes the bitwise
-    /// 1-shard differential structural (a 1-shard panic therefore
-    /// propagates like the plain facade's would).
-    ///
-    /// Multi-shard workers run inside `catch_unwind`: a panicking shard
-    /// closes its mailbox (so the merge still terminates), the payload
-    /// is carried back to the caller's thread, and the first failure
-    /// surfaces as [`RouterError::ShardPanicked`] once every surviving
-    /// stream has been merged.
+    /// Fans one advance (`Some(to)`) or drain (`None`) out to the shards,
+    /// then merges their buffers into `emit`. Every shard runs under
+    /// `catch_unwind`, so a panic becomes an error after the merge.
     fn fan_out(
         &mut self,
         to: Option<SimTime>,
         mut emit: impl FnMut(JobEvent),
     ) -> Result<(), RouterError> {
-        let shards = &mut self.shards;
-        let global_of = &self.global_of;
-        if shards.len() == 1 {
-            let map = &global_of[0];
-            let remap = |mut e: JobEvent| {
-                e.seq = map[e.seq as usize];
-                e
-            };
-            match to {
-                Some(t) => shards[0].advance(t).map(remap).for_each(&mut emit),
-                None => shards[0].drain().map(remap).for_each(&mut emit),
-            }
-            return Ok(());
-        }
-        let mailboxes: Vec<Mailbox<JobEvent>> = (0..shards.len()).map(|_| Mailbox::new()).collect();
-        let mut failure: Option<(usize, String)> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards.len());
-            for (i, ((shard, mb), map)) in
-                shards.iter_mut().zip(&mailboxes).zip(global_of).enumerate()
-            {
-                handles.push((
-                    i,
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| match to {
-                            Some(t) => pump(shard.advance(t), map, mb),
-                            None => pump(shard.drain(), map, mb),
-                        }))
-                        .map_err(|payload| {
-                            // The pump never reached its close: release
-                            // the consumer so the merge can terminate.
-                            mb.close();
-                            panic_message(payload.as_ref())
-                        })
-                    }),
-                ));
-            }
-            merge_mailboxes(&mailboxes, &mut emit);
-            for (i, handle) in handles {
-                let msg = match handle.join() {
-                    Ok(Ok(())) => continue,
-                    Ok(Err(msg)) => msg,
-                    // The worker closure itself panicked outside the
-                    // catch (out of memory unwinds, say): same contract.
-                    Err(payload) => panic_message(payload.as_ref()),
-                };
-                if failure.is_none() {
-                    failure = Some((i, msg));
+        let mut work = self
+            .shards
+            .iter_mut()
+            .zip(&self.global_of)
+            .zip(&mut self.bufs)
+            .map(|((shard, map), buf)| (shard, map.as_slice(), buf));
+        let (shard0, map0, buf0) = work.next().expect("at least one shard");
+        let failure = std::thread::scope(|scope| {
+            let workers: Vec<_> = work
+                .map(|(shard, map, buf)| scope.spawn(move || run_shard(shard, map, buf, to)))
+                .collect();
+            let mut failure = run_shard(shard0, map0, buf0, to).err().map(|m| (0, m));
+            for (i, worker) in workers.into_iter().enumerate() {
+                // A panic the catch missed (a payload whose `Drop`
+                // panics, say) gets the same contract.
+                let result = worker
+                    .join()
+                    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
+                if let (None, Err(message)) = (&failure, result) {
+                    failure = Some((i + 1, message));
                 }
             }
+            failure
         });
+        merge(&mut self.bufs, &mut emit);
         match failure {
             Some((shard, message)) => Err(RouterError::ShardPanicked { shard, message }),
             None => Ok(()),
         }
     }
+}
+
+/// One shard's part of a fan-out: advance (or drain) it and append its
+/// events to `buf` with global seqs. A panic comes back as its message.
+fn run_shard(
+    shard: &mut ClusterRms<'_>,
+    global_of: &[u64],
+    buf: &mut Vec<JobEvent>,
+    to: Option<SimTime>,
+) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let remap = |mut e: JobEvent| {
+            e.seq = global_of[e.seq as usize];
+            e
+        };
+        match to {
+            Some(t) => buf.extend(shard.advance(t).map(remap)),
+            None => buf.extend(shard.drain().map(remap)),
+        }
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Renders a panic payload for [`RouterError::ShardPanicked`]: the
@@ -479,58 +384,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Worker side of the mailbox protocol: remap local seqs to global ones
-/// and ship events in chunks, closing the box at the end of the stream.
-fn pump(events: impl Iterator<Item = JobEvent>, map: &[u64], mb: &Mailbox<JobEvent>) {
-    let mut chunk = Vec::with_capacity(CHUNK);
-    for mut e in events {
-        e.seq = map[e.seq as usize];
-        chunk.push(e);
-        if chunk.len() == CHUNK {
-            mb.send(std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK)));
-        }
-    }
-    if !chunk.is_empty() {
-        mb.send(chunk);
-    }
-    mb.close();
-}
-
-/// Caller side: k-way merge of the shard streams by resolution
-/// timestamp. Each shard's own stream is nondecreasing in
+/// Empties the shard buffers into `emit` in one k-way merge. Each
+/// shard's buffer is nondecreasing in
 /// [`Outcome::resolved_at`](crate::report::Outcome::resolved_at) (the
 /// facade resolves outcomes in time order), so comparing only the
-/// current heads yields a globally time-ordered merge; equal timestamps
-/// break ties by global submission seq, which is unique.
-fn merge_mailboxes(mailboxes: &[Mailbox<JobEvent>], emit: &mut impl FnMut(JobEvent)) {
+/// current heads yields a globally time-ordered stream that keeps each
+/// shard's own order; equal timestamps break ties by global submission
+/// seq, which is unique, and then by shard.
+fn merge(bufs: &mut [Vec<JobEvent>], emit: &mut impl FnMut(JobEvent)) {
     let _merge = obs::phase::span(obs::phase::Phase::RouterMerge);
-    let n = mailboxes.len();
-    let mut bufs: Vec<std::vec::IntoIter<JobEvent>> =
-        (0..n).map(|_| Vec::new().into_iter()).collect();
-    let mut heads: Vec<Option<JobEvent>> = (0..n).map(|_| None).collect();
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::with_capacity(n);
-    let next_of = |buf: &mut std::vec::IntoIter<JobEvent>, mb: &Mailbox<JobEvent>| loop {
-        if let Some(e) = buf.next() {
-            return Some(e);
-        }
-        match mb.recv() {
-            Some(chunk) => *buf = chunk.into_iter(),
-            None => return None,
-        }
-    };
-    for s in 0..n {
-        if let Some(e) = next_of(&mut bufs[s], &mailboxes[s]) {
-            heap.push(Reverse((e.record.outcome.resolved_at(), e.seq, s)));
-            heads[s] = Some(e);
-        }
-    }
+    let key = |e: &JobEvent, s: usize| Reverse((e.record.outcome.resolved_at(), e.seq, s));
+    let mut streams: Vec<_> = bufs.iter_mut().map(|b| b.drain(..)).collect();
+    let mut heads: Vec<Option<JobEvent>> = streams.iter_mut().map(Iterator::next).collect();
+    let mut heap: BinaryHeap<_> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(s, head)| head.as_ref().map(|e| key(e, s)))
+        .collect();
     while let Some(Reverse((_, _, s))) = heap.pop() {
         let e = heads[s].take().expect("head present for popped shard");
-        emit(e);
-        if let Some(e) = next_of(&mut bufs[s], &mailboxes[s]) {
-            heap.push(Reverse((e.record.outcome.resolved_at(), e.seq, s)));
-            heads[s] = Some(e);
+        heads[s] = streams[s].next();
+        if let Some(next) = &heads[s] {
+            heap.push(key(next, s));
         }
+        emit(e);
     }
 }
 
@@ -565,26 +442,6 @@ mod tests {
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
-    }
-
-    #[test]
-    fn mailbox_delivers_in_order_and_terminates() {
-        let mb: Mailbox<u32> = Mailbox::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for base in 0..32u32 {
-                    mb.send((base * 4..base * 4 + 4).collect());
-                }
-                mb.close();
-            });
-            let mut got = Vec::new();
-            while let Some(chunk) = mb.recv() {
-                got.extend(chunk);
-            }
-            assert_eq!(got, (0..128).collect::<Vec<u32>>());
-        });
-        // Closed and drained: recv keeps reporting the end of stream.
-        assert_eq!(mb.recv(), None);
     }
 
     #[test]
@@ -638,6 +495,43 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_completions_merge_in_global_seq_order() {
+        let mut rms = ShardedRms::new(vec![shard(), shard()], RouteBy::RoundRobin).unwrap();
+        // Identical jobs: every one completes at the same instant, on
+        // both shards, so the merge decides the order by ties alone.
+        let mut own: [Vec<u64>; 2] = Default::default();
+        for i in 0..6u64 {
+            let (s, d) = rms.submit_routed(job(i, 0.0, 100.0, 1, 5000.0), t(0.0));
+            assert_eq!(d, Decision::Accepted);
+            own[s].push(i);
+        }
+        let events = rms.drain().unwrap();
+        let at = events[0].record.outcome.resolved_at();
+        assert!(events.iter().all(|e| e.record.outcome.resolved_at() == at));
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(
+            seqs,
+            (0..6).collect::<Vec<u64>>(),
+            "ties break by global seq"
+        );
+        // Each shard's subsequence is that shard's own order, replayed
+        // on a plain facade and mapped to global seqs.
+        for (s, globals) in own.iter().enumerate() {
+            let mut plain = shard();
+            for &i in globals {
+                plain.submit(job(i, 0.0, 100.0, 1, 5000.0), t(0.0));
+            }
+            let want: Vec<u64> = plain.drain().map(|e| globals[e.seq as usize]).collect();
+            let got: Vec<u64> = seqs
+                .iter()
+                .copied()
+                .filter(|q| globals.contains(q))
+                .collect();
+            assert_eq!(got, want, "shard {s} order kept");
+        }
+    }
+
+    #[test]
     fn empty_router_is_a_constructor_error() {
         let err = ShardedRms::new(Vec::new(), RouteBy::JobHash)
             .err()
@@ -663,16 +557,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_shard_degrades_into_a_structured_error() {
-        let mut b0 = AdvanceBomb { armed: false };
-        let mut b1 = AdvanceBomb { armed: true };
-        let mut b2 = AdvanceBomb { armed: false };
-        let shards = vec![
-            shard().with_recorder(&mut b0),
-            shard().with_recorder(&mut b1),
-            shard().with_recorder(&mut b2),
-        ];
+    /// Drains six round-robin jobs through an `n`-shard router whose
+    /// shard `armed` carries a detonating recorder; returns the error
+    /// and the number of events emitted before it.
+    fn bombed_drain(n: usize, armed: usize) -> (RouterError, usize) {
+        let mut bombs: Vec<AdvanceBomb> =
+            (0..n).map(|i| AdvanceBomb { armed: i == armed }).collect();
+        let shards = bombs.iter_mut().map(|b| shard().with_recorder(b)).collect();
         let mut rms = ShardedRms::new(shards, RouteBy::RoundRobin).unwrap();
         for i in 0..6u64 {
             rms.submit(job(i, 0.0, 40.0 + 9.0 * i as f64, 1, 5000.0), t(0.0));
@@ -681,18 +572,27 @@ mod tests {
         let err = rms
             .drain_with(|e| events.push(e))
             .expect_err("the bombed shard must surface as an error");
-        match err {
-            RouterError::ShardPanicked { shard, message } => {
-                assert_eq!(shard, 1);
-                assert!(message.contains("advance bomb"), "payload: {message}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        // The surviving shards still streamed their outcomes (shards 0
-        // and 2 took jobs 0,2,3,5) and the router stays usable for
-        // inspection — no poisoned locks, no aborted process.
-        assert_eq!(events.len(), 4);
+        // The router stays usable for inspection — no aborted process.
         assert_eq!(rms.submitted(), 6);
         let _ = rms.utilization();
+        (err, events.len())
+    }
+
+    #[test]
+    fn panicking_shard_degrades_into_a_structured_error() {
+        // (shards, armed shard, events the survivors emit): shard 1 on a
+        // scoped thread, shard 0 on the caller's thread, and a 1-shard
+        // router, which has no survivors.
+        for (n, armed, survivors) in [(3, 1, 4), (3, 0, 4), (1, 0, 0)] {
+            let (err, emitted) = bombed_drain(n, armed);
+            match err {
+                RouterError::ShardPanicked { shard, message } => {
+                    assert_eq!(shard, armed, "{n} shards");
+                    assert!(message.contains("advance bomb"), "payload: {message}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+            assert_eq!(emitted, survivors, "{n} shards, shard {armed} armed");
+        }
     }
 }

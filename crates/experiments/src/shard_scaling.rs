@@ -5,8 +5,9 @@
 //! Every cell replays the *identical* tiled workload (arrivals capped at
 //! 2 procs so they fit the smallest shard of the sweep) under
 //! [`librisk::RouteBy::JobHash`] placement, so the curve isolates the
-//! router: per-shard admission state shrinks with the shard, mailbox
-//! fan-out/merge cost grows with the count. Because hash placement
+//! router: per-shard admission state shrinks with the shard, while the
+//! fan-out (one scoped thread per extra shard) and merge cost grows
+//! with the count. Because hash placement
 //! depends only on the job id and the Libra economy is per-cluster, each
 //! cell must resolve *bit-for-bit* the same outcomes as the union of
 //! `shards` independent unsharded runs over the same hash partition —

@@ -68,7 +68,8 @@ pub const RISK_BOUNDS: &[f64] = &[0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0
 
 /// Bucket bounds for the phase profiler's per-flush duration
 /// histograms (`phase_*_ns`), nanoseconds. Spans sub-microsecond lap
-/// slivers up to quarter-second stalls (a blocked mailbox send).
+/// slivers up to quarter-second stretches (a router merge over a large
+/// drain).
 pub const PHASE_NS_BOUNDS: &[f64] = &[
     250.0,
     1_000.0,
@@ -81,14 +82,6 @@ pub const PHASE_NS_BOUNDS: &[f64] = &[
     50_000_000.0,
     250_000_000.0,
 ];
-
-/// Bucket bounds for [`crate::phase::MAILBOX_DEPTH_KEY`] — queued
-/// chunks at send time; the router caps mailboxes at 8 chunks, so the
-/// overflow bucket should stay empty.
-pub const MAILBOX_DEPTH_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0];
-
-/// Last-observed mailbox depth at send time (gauge, chunks).
-pub const MAILBOX_DEPTH_LAST: &str = "router_mailbox_depth_last";
 
 /// Histogram key + bounds for a policy audit-gauge key, when the
 /// gauge has a meaningful distribution to track.
@@ -159,7 +152,6 @@ pub fn intern_bounds(bounds: &[f64]) -> Option<&'static [f64]> {
         SHARE_BOUNDS,
         RISK_BOUNDS,
         PHASE_NS_BOUNDS,
-        MAILBOX_DEPTH_BOUNDS,
     ]
     .into_iter()
     .find(|b| *b == bounds)
@@ -185,7 +177,6 @@ pub fn help(key: &str) -> Option<&'static str> {
         _ if key == DECIDE_LATENCY => "Wall-clock decide latency, nanoseconds.",
         _ if key == SHARE_DIST => "Post-decision share-sum distribution (Libra family).",
         _ if key == RISK_DIST => "Post-decision cluster-risk distribution (LibraRisk family).",
-        _ if key == MAILBOX_DEPTH_LAST => "Last-observed mailbox depth at send time, chunks.",
         "obs_events_dropped_total" => "Ring-buffer events dropped (oldest-first) on overflow.",
         _ => "",
     };

@@ -23,7 +23,8 @@
 //!    count) and anchors the coverage ratio the `experiments profile`
 //!    subcommand reports.
 //! 2. **Span guards** ([`span`]) for independent, possibly-nested
-//!    phases: the decide-path breakdown and the router's blocking waits.
+//!    phases: the decide-path breakdown and the router's submit and
+//!    merge.
 //!    A span is two clock reads; it does not touch the lap clock.
 //!
 //! Both hot disciplines are **stride-sampled** ([`SAMPLE_STRIDE`]):
@@ -34,9 +35,9 @@
 //! (the bench's `profiler_overhead` probe gates this at 10%). Sampling
 //! is unbiased for every *ratio* the profiler exists to report (phase
 //! shares, the advance-coverage anchor, per-call means); absolute
-//! `_ns_total` values cover the sampled subset only. The rare blocking
-//! spans (router merge, mailbox waits) are never sampled — their
-//! per-event distributions are the point and their rate is low.
+//! `_ns_total` values cover the sampled subset only. The router spans
+//! (submit, merge) are never sampled — their per-event distributions
+//! are the point.
 //!
 //! Like the [`crate::Recorder`] contract, profiling is behaviourally
 //! inert: nothing in any decision or advance path reads profiler state.
@@ -48,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of named phases (see [`Phase::ALL`]).
-pub const N_PHASES: usize = 12;
+pub const N_PHASES: usize = 10;
 /// Number of cache-machinery counters (see [`Counter::ALL`]).
 pub const N_COUNTERS: usize = 6;
 
@@ -75,12 +76,8 @@ pub enum Phase {
     VerdictKernel = 7,
     /// Router submit (route + shard decide) on the caller's thread.
     RouterSubmit = 8,
-    /// The k-way merge of shard mailbox streams.
+    /// The k-way merge of the shards' event buffers.
     RouterMerge = 9,
-    /// Producer-side backpressure: a worker blocked on a full mailbox.
-    MailboxSendWait = 10,
-    /// Consumer-side merge lag: the merge blocked on an empty mailbox.
-    MailboxRecvWait = 11,
 }
 
 impl Phase {
@@ -96,8 +93,6 @@ impl Phase {
         Phase::VerdictKernel,
         Phase::RouterSubmit,
         Phase::RouterMerge,
-        Phase::MailboxSendWait,
-        Phase::MailboxRecvWait,
     ];
 
     /// Human-readable phase name (table/CSV rows).
@@ -150,8 +145,6 @@ const PHASE_META: [PhaseMeta; N_PHASES] = [
     phase_meta!("verdict kernel", "verdict_kernel"),
     phase_meta!("router submit", "router_submit"),
     phase_meta!("router k-way merge", "router_merge"),
-    phase_meta!("mailbox send wait", "mailbox_send_wait"),
-    phase_meta!("mailbox recv wait", "mailbox_recv_wait"),
 ];
 
 /// A cache-machinery event counter.
@@ -197,15 +190,11 @@ const COUNTER_KEYS: [&str; N_COUNTERS] = [
     "phase_projections_run_total",
 ];
 
-/// Registry histogram key for per-send mailbox depth (chunks queued).
-pub const MAILBOX_DEPTH_KEY: &str = "router_mailbox_depth_chunks";
-
 /// 1-in-N stride for the hot sampled disciplines: armed advance
 /// stretches and [`decision_sampled`] fine spans.
 pub const SAMPLE_STRIDE: u64 = 8;
 
 const N_BUCKETS: usize = crate::keys::PHASE_NS_BOUNDS.len() + 1;
-const N_DEPTH_BUCKETS: usize = crate::keys::MAILBOX_DEPTH_BOUNDS.len() + 1;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -229,11 +218,6 @@ static GLOBALS: [GlobalPhase; N_PHASES] = [const {
 }; N_PHASES];
 
 static COUNTERS: [AtomicU64; N_COUNTERS] = [const { AtomicU64::new(0) }; N_COUNTERS];
-
-static DEPTH_BUCKETS: [AtomicU64; N_DEPTH_BUCKETS] = [const { AtomicU64::new(0) }; N_DEPTH_BUCKETS];
-static DEPTH_SUM: AtomicU64 = AtomicU64::new(0);
-static DEPTH_COUNT: AtomicU64 = AtomicU64::new(0);
-static DEPTH_LAST: AtomicU64 = AtomicU64::new(0);
 
 struct Local {
     ns: [Cell<u64>; N_PHASES],
@@ -348,12 +332,6 @@ pub fn reset() {
     for c in &COUNTERS {
         c.store(0, Ordering::Relaxed);
     }
-    for b in &DEPTH_BUCKETS {
-        b.store(0, Ordering::Relaxed);
-    }
-    DEPTH_SUM.store(0, Ordering::Relaxed);
-    DEPTH_COUNT.store(0, Ordering::Relaxed);
-    DEPTH_LAST.store(0, Ordering::Relaxed);
 }
 
 /// Flushes the calling thread's local accumulators into the globals.
@@ -375,20 +353,6 @@ pub fn add(c: Counter, n: u64) {
             cell.set(cell.get() + n);
         });
     }
-}
-
-/// Observes the queue depth of a router mailbox at send time, and
-/// remembers it as the last-seen depth gauge.
-#[inline]
-pub fn observe_mailbox_depth(chunks: usize) {
-    if !enabled() {
-        return;
-    }
-    let b = bucket_of(crate::keys::MAILBOX_DEPTH_BOUNDS, chunks as f64);
-    DEPTH_BUCKETS[b].fetch_add(1, Ordering::Relaxed);
-    DEPTH_SUM.fetch_add(chunks as u64, Ordering::Relaxed);
-    DEPTH_COUNT.fetch_add(1, Ordering::Relaxed);
-    DEPTH_LAST.store(chunks as u64, Ordering::Relaxed);
 }
 
 /// Restarts an *armed* lap clock at "now" without attributing anything
@@ -465,15 +429,12 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(t0) = self.start else { return };
         let ns = t0.elapsed().as_nanos() as u64;
-        // Rare/blocking phases go straight to the globals with a
-        // per-span histogram observation (their cost is irrelevant and
-        // per-event distributions are the point); hot decide-path spans
-        // stay in TLS and take the per-flush distribution.
+        // Router phases go straight to the globals with a per-span
+        // histogram observation (per-event distributions are the
+        // point); hot decide-path spans stay in TLS and take the
+        // per-flush distribution.
         match self.phase {
-            Phase::RouterMerge
-            | Phase::MailboxSendWait
-            | Phase::MailboxRecvWait
-            | Phase::RouterSubmit => {
+            Phase::RouterMerge | Phase::RouterSubmit => {
                 let g = &GLOBALS[self.phase as usize];
                 g.ns.fetch_add(ns, Ordering::Relaxed);
                 g.calls.fetch_add(1, Ordering::Relaxed);
@@ -568,10 +529,6 @@ pub struct PhaseStat {
 pub struct PhaseSnapshot {
     phases: [PhaseStat; N_PHASES],
     counters: [u64; N_COUNTERS],
-    depth_buckets: [u64; N_DEPTH_BUCKETS],
-    depth_sum: u64,
-    depth_count: u64,
-    depth_last: u64,
 }
 
 /// Captures the current global aggregates (flushing the calling
@@ -591,18 +548,7 @@ pub fn snapshot() -> PhaseSnapshot {
     for (dst, src) in counters.iter_mut().zip(&COUNTERS) {
         *dst = src.load(Ordering::Relaxed);
     }
-    let mut depth_buckets = [0u64; N_DEPTH_BUCKETS];
-    for (dst, src) in depth_buckets.iter_mut().zip(&DEPTH_BUCKETS) {
-        *dst = src.load(Ordering::Relaxed);
-    }
-    PhaseSnapshot {
-        phases,
-        counters,
-        depth_buckets,
-        depth_sum: DEPTH_SUM.load(Ordering::Relaxed),
-        depth_count: DEPTH_COUNT.load(Ordering::Relaxed),
-        depth_last: DEPTH_LAST.load(Ordering::Relaxed),
-    }
+    PhaseSnapshot { phases, counters }
 }
 
 impl PhaseSnapshot {
@@ -626,11 +572,6 @@ impl PhaseSnapshot {
         self.counters[c as usize]
     }
 
-    /// Mailbox depth observations (sends seen by the depth probe).
-    pub fn mailbox_depth_count(&self) -> u64 {
-        self.depth_count
-    }
-
     /// An upper-bound estimate of the `q`-quantile of `p`'s per-flush
     /// duration distribution, in nanoseconds (0 when empty).
     pub fn quantile_ns(&self, p: Phase, q: f64) -> f64 {
@@ -641,8 +582,8 @@ impl PhaseSnapshot {
         )
     }
 
-    /// Exports every aggregate into `reg` under the `phase_*` /
-    /// `router_mailbox_*` key vocabulary. The registry is additive
+    /// Exports every aggregate into `reg` under the `phase_*` key
+    /// vocabulary. The registry is additive
     /// ([`Registry::merge`]-clean with recorder registries); call on a
     /// fresh registry for absolute values.
     pub fn export_into(&self, reg: &mut Registry) {
@@ -665,17 +606,6 @@ impl PhaseSnapshot {
             if *v != 0 {
                 reg.add(c.key(), *v);
             }
-        }
-        if self.depth_count != 0 {
-            let h = Histogram::from_parts(
-                crate::keys::MAILBOX_DEPTH_BOUNDS,
-                self.depth_buckets.to_vec(),
-                self.depth_sum as f64,
-                self.depth_count,
-            )
-            .expect("depth bucket table matches its bounds");
-            reg.restore_histogram(MAILBOX_DEPTH_KEY, h);
-            reg.set_gauge(crate::keys::MAILBOX_DEPTH_LAST, self.depth_last as f64);
         }
     }
 }
@@ -713,14 +643,7 @@ pub fn intern_key(name: &str) -> Option<&'static str> {
             }
         }
     }
-    for k in COUNTER_KEYS {
-        if k == name {
-            return Some(k);
-        }
-    }
-    [MAILBOX_DEPTH_KEY, crate::keys::MAILBOX_DEPTH_LAST]
-        .into_iter()
-        .find(|k| *k == name)
+    COUNTER_KEYS.into_iter().find(|k| *k == name)
 }
 
 /// Scrape-page HELP text for a profiler metric key (the
@@ -737,10 +660,9 @@ pub fn help_key(name: &str) -> Option<&'static str> {
             return Some("Per-flush duration distribution for this phase, nanoseconds.");
         }
     }
-    if COUNTER_KEYS.contains(&name) {
-        return Some("Cache-machinery events on the decision path.");
-    }
-    (name == MAILBOX_DEPTH_KEY).then_some("Router mailbox depth at send time, chunks.")
+    COUNTER_KEYS
+        .contains(&name)
+        .then_some("Cache-machinery events on the decision path.")
 }
 
 #[cfg(test)]
@@ -821,28 +743,25 @@ mod tests {
     }
 
     #[test]
-    fn spans_counters_and_depth_aggregate() {
+    fn spans_and_counters_aggregate() {
         with_profiler(|| {
             {
                 let _s = span(Phase::VerdictKernel);
                 busy(20);
             }
             {
-                let _s = span(Phase::MailboxSendWait);
+                let _s = span(Phase::RouterMerge);
                 busy(20);
             }
             add(Counter::DominanceScreens, 7);
             add(Counter::KernelBails, 2);
-            observe_mailbox_depth(3);
-            observe_mailbox_depth(8);
             let snap = snapshot();
             assert!(snap.ns(Phase::VerdictKernel) > 0);
             assert_eq!(snap.calls(Phase::VerdictKernel), 1);
-            assert!(snap.ns(Phase::MailboxSendWait) > 0);
+            assert!(snap.ns(Phase::RouterMerge) > 0);
             assert_eq!(snap.counter(Counter::DominanceScreens), 7);
             assert_eq!(snap.counter(Counter::KernelBails), 2);
-            assert_eq!(snap.mailbox_depth_count(), 2);
-            assert!(snap.quantile_ns(Phase::MailboxSendWait, 0.99) > 0.0);
+            assert!(snap.quantile_ns(Phase::RouterMerge, 0.99) > 0.0);
         });
     }
 
@@ -875,7 +794,6 @@ mod tests {
                 lap_mark(Phase::ProgressPass);
             }
             add(Counter::ProjectionsRun, 5);
-            observe_mailbox_depth(2);
             let snap = snapshot();
             let mut reg = Registry::new();
             snap.export_into(&mut reg);
@@ -888,8 +806,6 @@ mod tests {
                 .histogram(Phase::AdvanceTotal.hist_key())
                 .expect("advance histogram exported");
             assert_eq!(h.count(), 1);
-            assert!(reg.histogram(MAILBOX_DEPTH_KEY).is_some());
-            assert_eq!(reg.gauge(crate::keys::MAILBOX_DEPTH_LAST), Some(2.0));
             // Every exported key is in the closed intern vocabulary.
             for (k, _) in reg.counters() {
                 assert!(crate::keys::intern(k).is_some(), "unknown key {k}");
